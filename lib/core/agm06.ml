@@ -7,6 +7,7 @@ module Tree = Cr_tree.Tree
 module Ni = Cr_tree.Ni_tree_routing
 module Dense = Cr_tree.Dense_tree_routing
 module Cover = Cr_cover.Sparse_cover
+module Pool = Cr_util.Domain_pool
 
 type mode = Full | Sparse_only | Dense_only
 
@@ -62,7 +63,7 @@ let search_walk_append walk_rev = function
   | [] -> walk_rev
   | _first :: rest -> List.rev_append rest walk_rev
 
-let build ?params ?(mode = Full) ?profile apsp =
+let build ?params ?(mode = Full) ?profile ?(pool = Pool.shared ()) apsp =
   let params = match params with Some p -> p | None -> Params.scaled ~k:3 () in
   Params.validate params;
   (* [prof stage f] times the stage when a profile was supplied; without
@@ -77,7 +78,16 @@ let build ?params ?(mode = Full) ?profile apsp =
     invalid_arg "Agm06.build: graph must be normalized (min edge weight 1)";
   let k = params.Params.k in
   let seed = params.Params.seed in
-  let decomp = prof "decomposition" (fun () -> Decomposition.build apsp ~k) in
+  (* Every parallel stage below writes per-index slots only, and every
+     shared structure it reads (the graph, the ball cache, the landmark
+     hierarchy) is complete before it starts; [Storage] accounting and
+     the [centers] table are then filled sequentially in index order, so
+     the tables are identical at every pool width. *)
+  let decomp =
+    prof "decomposition" (fun () ->
+        Apsp.fill_balls ~pool apsp;
+        Decomposition.build apsp ~k)
+  in
   let landmarks = prof "landmark-hierarchy" (fun () -> Landmarks.build ~seed ~n ~k) in
   let cap = Params.landmark_cap params ~n in
   let storage = Storage.create ~n in
@@ -86,18 +96,17 @@ let build ?params ?(mode = Full) ?profile apsp =
   let s_sets = Array.make n [||] in
   let members_of = Array.make n [] in
   prof "nearby-sets" (fun () ->
-      for u = 0 to n - 1 do
-        let ball = Apsp.ball apsp u in
-        let tbl = Hashtbl.create (k * cap) in
-        for i = 0 to k - 1 do
-          Array.iter
-            (fun v -> Hashtbl.replace tbl v ())
-            (Landmarks.nearby landmarks ball ~level:i ~cap)
-        done;
-        let arr = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-        Array.sort Int.compare arr;
-        s_sets.(u) <- arr
-      done;
+      Pool.parallel_for ~chunk:8 pool ~n (fun u ->
+          let ball = Apsp.ball apsp u in
+          let tbl = Hashtbl.create (k * cap) in
+          for i = 0 to k - 1 do
+            Array.iter
+              (fun v -> Hashtbl.replace tbl v ())
+              (Landmarks.nearby landmarks ball ~level:i ~cap)
+          done;
+          let arr = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+          Array.sort Int.compare arr;
+          s_sets.(u) <- arr);
       for u = n - 1 downto 0 do
         Array.iter (fun v -> members_of.(v) <- u :: members_of.(v)) s_sets.(u)
       done);
@@ -143,7 +152,10 @@ let build ?params ?(mode = Full) ?profile apsp =
   Hashtbl.replace sparse_centers global_root ();
   (* ---- per-center trees with Lemma 4 routing; full storage sweep ---- *)
   let centers = Hashtbl.create (Hashtbl.length sparse_centers) in
-  let build_center_tree v ~keep_all ~category =
+  (* A tree's nodes and their bits, plus its routing when it is kept:
+     the trees of centers that no plan uses are dropped as soon as their
+     storage is known. *)
+  let build_center_tree v ~keep_all =
     let keep =
       if keep_all then fun _ -> true
       else begin
@@ -155,37 +167,47 @@ let build ?params ?(mode = Full) ?profile apsp =
     in
     let tree = Tree.of_sssp g (Apsp.sssp apsp v) ~keep in
     let ni = Ni.build ~seed:(seed + v + 1) ~k ~n_global:n tree in
-    Array.iter
-      (fun w -> Storage.add storage ~node:w ~category ~bits:(Ni.node_storage_bits ni w))
-      (Tree.nodes tree);
-    ni
+    let nodes = Tree.nodes tree in
+    let retained = if keep_all || Hashtbl.mem sparse_centers v then Some ni else None in
+    (nodes, Array.map (Ni.node_storage_bits ni) nodes, retained)
   in
-  (* The global tree spans everything and is accounted under "fallback". *)
   let global_ni =
     prof "sparse-trees" (fun () ->
-        let global_ni = build_center_tree global_root ~keep_all:true ~category:"fallback" in
-        (* Every node v held in someone's S(u) gets a tree T(v); its storage
-           is charged to its members.  Trees of centers actually used for
-           routing are retained. *)
-        for v = 0 to n - 1 do
-          if v <> global_root && members_of.(v) <> [] then begin
-            let ni = build_center_tree v ~keep_all:false ~category:"sparse-trees" in
-            if Hashtbl.mem sparse_centers v then Hashtbl.replace centers v ni
-          end
-        done;
+        (* The global tree spans everything and is accounted under
+           "fallback".  Every other node v held in someone's S(u) gets a
+           tree T(v); its storage is charged to its members.  Trees of
+           centers actually used for routing are retained. *)
+        let roots =
+          Array.of_list
+            (global_root
+            :: List.filter
+                 (fun v -> v <> global_root && members_of.(v) <> [])
+                 (List.init n Fun.id))
+        in
+        let built = Array.make (Array.length roots) ([||], [||], None) in
+        Pool.parallel_for ~chunk:1 pool ~n:(Array.length roots) (fun i ->
+            built.(i) <- build_center_tree roots.(i) ~keep_all:(i = 0));
+        Array.iteri
+          (fun i v ->
+            let nodes, bits, retained = built.(i) in
+            let category = if i = 0 then "fallback" else "sparse-trees" in
+            Array.iteri (fun j w -> Storage.add storage ~node:w ~category ~bits:bits.(j)) nodes;
+            if i > 0 then Option.iter (Hashtbl.replace centers v) retained)
+          roots;
+        let _, _, global = built.(0) in
+        let global_ni = Option.get global in
         Hashtbl.replace centers global_root global_ni;
         (* ---- refine sparse bounds b(u,i) now that trees exist ---- *)
-        for u = 0 to n - 1 do
-          Array.iteri
-            (fun i plan ->
-              match plan with
-              | Sparse { center; _ } ->
-                  let ni = Hashtbl.find centers center in
-                  let b = Ni.guaranteed_bound ni (Decomposition.e_set decomp u i) in
-                  plans.(u).(i) <- Sparse { center; bound = b }
-              | Dense_phase _ -> ())
-            plans.(u)
-        done;
+        Pool.parallel_for ~chunk:8 pool ~n (fun u ->
+            Array.iteri
+              (fun i plan ->
+                match plan with
+                | Sparse { center; _ } ->
+                    let ni = Hashtbl.find centers center in
+                    let b = Ni.guaranteed_bound ni (Decomposition.e_set decomp u i) in
+                    plans.(u).(i) <- Sparse { center; bound = b }
+                | Dense_phase _ -> ())
+              plans.(u));
         global_ni)
   in
   (* ---- covers for every populated level (paper §3.5 stores all) ---- *)
@@ -195,12 +217,12 @@ let build ?params ?(mode = Full) ?profile apsp =
           (fun level ->
             let allowed u = Decomposition.in_level_graph decomp u level in
             let rho = Decomposition.radius_of_exponent level in
-            let cover = Cover.build ~allowed ~k ~rho g in
-            let dense_rts =
-              Array.map
-                (fun (c : Cover.cluster) -> Dense.build c.Cover.tree)
-                (Cover.clusters cover)
-            in
+            let cover = Cover.build ~allowed ~apsp ~pool ~k ~rho g in
+            let clusters = Cover.clusters cover in
+            let dense_rts = Array.make (Array.length clusters) None in
+            Pool.parallel_for ~chunk:1 pool ~n:(Array.length clusters) (fun c ->
+                dense_rts.(c) <- Some (Dense.build clusters.(c).Cover.tree));
+            let dense_rts = Array.map Option.get dense_rts in
             Array.iter
               (fun (rt : Dense.t) ->
                 Array.iter

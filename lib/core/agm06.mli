@@ -28,13 +28,21 @@ type mode =
   | Sparse_only  (** ablation: every level handled by the sparse strategy *)
   | Dense_only  (** ablation: every level handled by the dense strategy *)
 
-val build : ?params:Params.t -> ?mode:mode -> ?profile:Cr_obs.Profile.t -> Cr_graph.Apsp.t -> t
+val build :
+  ?params:Params.t ->
+  ?mode:mode ->
+  ?profile:Cr_obs.Profile.t ->
+  ?pool:Cr_util.Domain_pool.t ->
+  Cr_graph.Apsp.t ->
+  t
 (** Builds the scheme over a connected component reachable ground truth.
     [params] defaults to [Params.scaled ~k:3].  The graph must be
     normalized (min edge weight 1).  With [profile], each construction
     stage (decomposition, landmark-hierarchy, nearby-sets, sparse-trees,
     dense-covers, local-records) is timed and charged its table bits;
-    the construction itself is unchanged.
+    the construction itself is unchanged.  The per-node and per-centre
+    work of each stage runs on [pool] (default: the shared pool); the
+    built tables are identical at every pool width.
     @raise Invalid_argument otherwise. *)
 
 val scheme : t -> Scheme.t

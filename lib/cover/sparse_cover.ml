@@ -1,5 +1,8 @@
 module Graph = Cr_graph.Graph
 module Dijkstra = Cr_graph.Dijkstra
+module Apsp = Cr_graph.Apsp
+module Ball = Cr_graph.Ball
+module Pool = Cr_util.Domain_pool
 module Tree = Cr_tree.Tree
 module Bits = Cr_util.Bits
 
@@ -21,6 +24,18 @@ let ball_of g allowed rho u =
   Array.iteri (fun v d -> if d < infinity then acc := v :: !acc) res.Dijkstra.dist;
   Array.of_list !acc
 
+(* u's rho-ball in the allowed subgraph, read off the full graph's APSP
+   when every node of the full-graph ball B(u, rho) is allowed.  Then
+   Dijkstra restricted to the allowed nodes settles the same nodes, in
+   the same order, at the same distances, up to the bound: a node
+   within the bound is only ever relaxed from nodes settled before it,
+   which lie within the bound too.  Only membership matters to [build]
+   (ball arrays are scanned as sets), so the order differs from
+   [ball_of]'s harmlessly. *)
+let apsp_ball apsp allowed rho u =
+  let members = Ball.ball (Apsp.ball apsp u) rho in
+  if Array.for_all (fun v -> allowed.(v)) members then Some members else None
+
 (* Awerbuch–Peleg ball coarsening, organized in phases so that clusters
    created within one phase are pairwise disjoint: a node then belongs to
    at most (#phases) clusters, which is what keeps the cover sparse.
@@ -32,9 +47,12 @@ let ball_of g allowed rho u =
    radius stays below (2k-1) rho.  Absorbed balls are covered; balls that
    merely touch the cluster become ineligible for the rest of the phase
    and try again in the next one. *)
-let build ?allowed ~k ~rho g =
+let build ?allowed ?apsp ?(pool = Pool.shared ()) ~k ~rho g =
   if k < 1 then invalid_arg "Sparse_cover.build: k < 1";
   if not (rho > 0.0) then invalid_arg "Sparse_cover.build: rho <= 0";
+  (match apsp with
+  | Some a when Apsp.graph a != g -> invalid_arg "Sparse_cover.build: apsp of another graph"
+  | _ -> ());
   let n = Graph.n g in
   let allowed =
     match allowed with
@@ -45,9 +63,13 @@ let build ?allowed ~k ~rho g =
     float_of_int (max 2 (Bits.ceil_pow (float_of_int (max 2 n)) (1.0 /. float_of_int k)))
   in
   let balls = Array.make n [||] in
-  for u = 0 to n - 1 do
-    if allowed.(u) then balls.(u) <- ball_of g allowed rho u
-  done;
+  Option.iter (Apsp.fill_balls ~pool) apsp;
+  Pool.parallel_for ~chunk:8 pool ~n (fun u ->
+      if allowed.(u) then
+        balls.(u) <-
+          (match Option.bind apsp (fun a -> apsp_ball a allowed rho u) with
+          | Some b -> b
+          | None -> ball_of g allowed rho u));
   let covered = Array.make n false in
   let home = Array.make n (-1) in
   let clusters = ref [] in

@@ -36,8 +36,22 @@ type cluster = {
 
 type t
 
-val build : ?allowed:(int -> bool) -> k:int -> rho:float -> Cr_graph.Graph.t -> t
-(** Builds the cover.  [allowed] defaults to every node. *)
+val build :
+  ?allowed:(int -> bool) ->
+  ?apsp:Cr_graph.Apsp.t ->
+  ?pool:Cr_util.Domain_pool.t ->
+  k:int ->
+  rho:float ->
+  Cr_graph.Graph.t ->
+  t
+(** Builds the cover.  [allowed] defaults to every node.  The [ρ]-balls
+    are computed in one {!Cr_util.Domain_pool.parallel_for} on [pool]
+    (default: the shared pool).  With [apsp] (ground truth of this very
+    graph), a node whose full-graph ball [B(u, ρ)] is entirely allowed
+    reads that ball off the APSP instead of running a restricted
+    Dijkstra: the two node sets are equal, so the cover is identical
+    either way.
+    @raise Invalid_argument if [apsp] belongs to another graph. *)
 
 val clusters : t -> cluster array
 
@@ -64,5 +78,6 @@ val max_tree_edge : t -> float
 (** Heaviest tree edge across clusters. *)
 
 val check_cover : t -> bool
-(** Re-verifies property 1 by recomputing every allowed ball (test
-    helper; O(n · ball)). *)
+(** Re-verifies property 1 by recomputing every allowed ball with a
+    restricted Dijkstra — never from the APSP — (test helper;
+    O(n · ball)). *)

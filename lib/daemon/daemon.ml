@@ -95,6 +95,14 @@ type t = {
 
 let est_alpha = 0.2
 
+(* The background rebuild runs on one lane, sequentially in the repair
+   domain, as [Apsp.repair] always does.  Fanning it out over the shared
+   pool takes the serving domain's core on a 2-core host: on the
+   churn-uniform benchmark that halved query throughput and tripled p99
+   (DESIGN.md §9.1).  Start-up and recovery builds, which serve nothing
+   yet, use the shared pool. *)
+let repair_pool = Cr_util.Domain_pool.create ~domains:1
+
 (* ---- background repair ---------------------------------------------- *)
 
 let drain_batch t =
@@ -144,7 +152,7 @@ let repair_batch t base batch =
       apsp := apsp';
       sources := !sources + n)
     batch;
-  let agm = Agm06.build ~params:t.cfg.params !apsp in
+  let agm = Agm06.build ~params:t.cfg.params ~pool:repair_pool !apsp in
   let params = t.cfg.params in
   let epoch =
     {

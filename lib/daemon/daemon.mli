@@ -17,7 +17,9 @@
     against the live post-mutation graph).
 
     Thread model: {!handle} is called from one client thread; the
-    repair worker is one background domain.  If the worker dies, the
+    repair worker is one background domain, and its repair runs on a
+    one-lane pool so the serving side keeps a core (start-up and
+    recovery builds use the shared pool).  If the worker dies, the
     daemon is {e poisoned}: queries keep being served from the
     last-good epoch and [sync] reports the failure instead of
     hanging. *)

@@ -12,17 +12,20 @@ let compute g =
     balls = Array.make n None;
   }
 
+(* fills result arrays whose every slot is overwritten before use *)
+let placeholder = { Dijkstra.source = -1; dist = [||]; parent = [||]; parent_port = [||] }
+
 let compute_parallel ?domains g =
   let n = Graph.n g in
   let module Pool = Cr_util.Domain_pool in
   let domains = match domains with Some d -> max 1 d | None -> Pool.default_domains () in
   if domains <= 1 || n < 2 * domains then compute g
   else begin
-    (* one placeholder result; every slot is overwritten below.  The
+    (* every slot of the placeholder array is overwritten below.  The
        sources run on the shared, spawn-once pool: each Dijkstra only
        reads the immutable graph and writes its own slot, so any
        execution order yields the same array. *)
-    let results = Array.make n (Dijkstra.run g 0) in
+    let results = Array.make n placeholder in
     Pool.parallel_for ~chunk:16 (Pool.shared ()) ~n (fun s -> results.(s) <- Dijkstra.run g s);
     { graph = g; results; balls = Array.make n None }
   end
@@ -123,20 +126,20 @@ let repair t g' ~dirty ~structural =
         { r with Dijkstra.parent_port }
       end
     in
-    let results = Array.make n t.results.(0) in
-    let todo = ref [] in
-    for s = n - 1 downto 0 do
-      if dirty.(s) then todo := s :: !todo else results.(s) <- refresh_ports t.results.(s)
+    (* dirty sources run sequentially: repair is the daemon's background
+       work and must leave the serving domain its core.  A clean source
+       keeps its distance array, so its ball index (a pure function of
+       those distances) carries over as well. *)
+    let results = Array.make n placeholder in
+    let balls = Array.make n None in
+    for s = 0 to n - 1 do
+      if dirty.(s) then results.(s) <- Dijkstra.run g' s
+      else begin
+        results.(s) <- refresh_ports t.results.(s);
+        balls.(s) <- t.balls.(s)
+      end
     done;
-    let todo = Array.of_list !todo in
-    let nd = Array.length todo in
-    let module Pool = Cr_util.Domain_pool in
-    if nd < 2 * Pool.default_domains () then
-      Array.iter (fun s -> results.(s) <- Dijkstra.run g' s) todo
-    else
-      Pool.parallel_for ~chunk:4 (Pool.shared ()) ~n:nd (fun i ->
-          results.(todo.(i)) <- Dijkstra.run g' todo.(i));
-    { graph = g'; results; balls = Array.make n None }
+    { graph = g'; results; balls }
   end
 
 let repair_mutation t mu =
@@ -154,6 +157,12 @@ let ball t u =
       let b = Ball.of_dijkstra t.results.(u) in
       t.balls.(u) <- Some b;
       b
+
+let fill_balls ~pool t =
+  (* each lane writes only its own slot; afterwards [ball] never writes,
+     so lanes of later parallel stages may read it concurrently *)
+  Cr_util.Domain_pool.parallel_for ~chunk:8 pool ~n:(Array.length t.balls) (fun u ->
+      ignore (ball t u))
 
 let fold_pairs f init t =
   let n = Graph.n t.graph in

@@ -41,9 +41,10 @@ val dirty_sources : t -> Graph.mutation -> bool array
 val repair : t -> Graph.t -> dirty:bool array -> structural:bool -> t
 (** [repair t g' ~dirty ~structural] is the incremental ground-truth
     update: a fresh APSP over [g'] (the graph {e after} the mutation)
-    that re-runs Dijkstra only for [dirty] sources — in parallel on the
-    shared pool when there are enough — and shares every clean source's
-    result from [t].  With [structural] set (adjacency changed), clean
+    that re-runs Dijkstra only for [dirty] sources — sequentially, so
+    the daemon's background repair stays on one core — and
+    shares every clean source's result, and its cached {!ball}, from
+    [t].  With [structural] set (adjacency changed), clean
     sources get their [parent_port] arrays re-derived against [g'],
     since port numbers shift even where paths do not.  The result is
     bit-identical to [compute g'] when [dirty] over-approximates
@@ -65,7 +66,14 @@ val sssp : t -> int -> Dijkstra.result
 (** The stored single-source result for a node. *)
 
 val ball : t -> int -> Ball.t
-(** Ball index of a node (built lazily, cached). *)
+(** Ball index of a node (built lazily, cached).  The lazy fill writes
+    the cache, so concurrent callers should run {!fill_balls} first. *)
+
+val fill_balls : pool:Cr_util.Domain_pool.t -> t -> unit
+(** Builds every node's {!ball} in one {!Cr_util.Domain_pool.parallel_for}
+    on [pool], each lane writing only its own
+    cache slot.  Afterwards {!ball} is read-only and safe to call from
+    several domains at once. *)
 
 val aspect_ratio : t -> float
 (** Δ = max d(u,v) / min d(u,v) over connected pairs with u ≠ v;

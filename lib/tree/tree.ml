@@ -58,7 +58,7 @@ let of_sssp g (res : Dijkstra.result) ~keep =
         child_lists.(pi) <- v :: child_lists.(pi)
       end)
     nodes;
-  let children = Array.map (fun l -> Array.of_list (List.sort compare l)) child_lists in
+  let children = Array.map (fun l -> Array.of_list (List.sort Int.compare l)) child_lists in
   let depth_w = Array.make m 0.0 in
   let depth_h = Array.make m 0 in
   (* nodes ascending by graph id is not topological; compute depths by
@@ -234,10 +234,13 @@ let members t =
   Array.of_list !acc
 
 let by_root_distance t =
-  let arr = Array.copy t.nodes in
-  let key v =
-    let i = tree_index t v in
-    (t.depth_w.(i), v)
-  in
-  Array.sort (fun a b -> compare (key a) (key b)) arr;
-  arr
+  (* sort tree indexes, not ids: [nodes] ascends by graph id, so the
+     index tie-break is the id tie-break, and no comparison needs a
+     Hashtbl lookup or allocates a key *)
+  let order = Array.init (Array.length t.nodes) Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Float.compare t.depth_w.(i) t.depth_w.(j) in
+      if c <> 0 then c else Int.compare i j)
+    order;
+  Array.map (fun i -> t.nodes.(i)) order

@@ -638,11 +638,53 @@ let test_oracle_size_sublinear_per_node () =
   checkb "storage positive" true (Distance_oracle.storage_bits oa > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Pool-width invariance: AGM06 construction runs its per-node and
+   per-centre work on a domain pool, and the tables it builds must not
+   depend on how many lanes did that work. *)
+
+let pools = List.map (fun d -> Cr_util.Domain_pool.create ~domains:d) [ 1; 2; 4 ]
+
+(* Everything a built scheme exposes: every node's table dump (ranges,
+   phase plans, per-category bits), per-node and per-category storage,
+   the cover levels, and the walks of sampled pairs. *)
+let agm06_fingerprint apsp ~seed pool =
+  let agm = Agm06.build ~params:(Params.scaled ~k:3 ~seed ()) ~pool apsp in
+  let sch = Agm06.scheme agm in
+  let n = Graph.n (Apsp.graph apsp) in
+  let rng = Rng.create (seed + 7) in
+  let walks =
+    List.init 60 (fun _ ->
+        let s = Rng.int rng n and d = Rng.int rng n in
+        let r = sch.Scheme.route s d in
+        (r.Scheme.walk, r.Scheme.delivered, r.Scheme.phases_used))
+  in
+  ( List.init n (Agm06.describe_node agm),
+    Array.init n (Storage.node_bits sch.Scheme.storage),
+    Storage.categories sch.Scheme.storage,
+    Agm06.cover_levels agm,
+    walks )
+
+let width_invariance_graph family seed =
+  match family with
+  | 0 -> Experiment.make_graph ~seed (Experiment.Erdos_renyi { n = 96; avg_degree = 4.0 })
+  | 1 ->
+      Experiment.make_graph_with_aspect ~seed ~target_aspect:4096.0
+        (Experiment.Geometric { n = 96; radius = 0.2 })
+  | _ -> Experiment.make_graph ~seed (Experiment.Power_law { n = 96; exponent = 2.5 })
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"agm06 tables identical at pool widths 1, 2, 4" ~count:6
+      (pair (int_range 0 500) (int_range 0 2))
+      (fun (seed, family) ->
+        let apsp = Apsp.compute (width_invariance_graph family seed) in
+        match List.map (agm06_fingerprint apsp ~seed) pools with
+        | reference :: others -> List.for_all (fun f -> f = reference) others
+        | [] -> false);
     Test.make ~name:"agm06 delivers on random graphs" ~count:8
       (pair (int_range 0 500) (int_range 30 80))
       (fun (seed, n) ->
@@ -711,6 +753,7 @@ let qcheck_tests =
   ]
 
 let () =
+  at_exit (fun () -> List.iter Cr_util.Domain_pool.shutdown pools);
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
   Alcotest.run "core"
     [

@@ -5,6 +5,7 @@ module Rng = Cr_util.Rng
 module Bits = Cr_util.Bits
 module Graph = Cr_graph.Graph
 module Dijkstra = Cr_graph.Dijkstra
+module Apsp = Cr_graph.Apsp
 module Ball = Cr_graph.Ball
 module Generators = Cr_graph.Generators
 module Tree = Cr_tree.Tree
@@ -279,11 +280,71 @@ let test_claims_thresholds_monotone () =
   checkb "claim2 count limit positive" true (Landmarks.claim2_count_limit lm > 0.0)
 
 (* ------------------------------------------------------------------ *)
+(* The two ball paths: a node whose full-graph ball B(u, rho) is wholly
+   allowed reads it off the APSP, any other node runs a restricted
+   Dijkstra.  The allowed set is random, then bent so that node [a] is
+   on the APSP path and a neighbour [b] of a disallowed node [x] is on
+   the Dijkstra path. *)
+
+let one_lane = Cr_util.Domain_pool.create ~domains:1
+let two_lanes = Cr_util.Domain_pool.create ~domains:2
+
+let allowed_with_both_paths rng apsp ~rho =
+  let n = Graph.n (Apsp.graph apsp) in
+  let allowed = Array.init n (fun _ -> Rng.float rng 1.0 >= 0.2) in
+  let a = Rng.int rng n in
+  let ball_a = Ball.ball (Apsp.ball apsp a) rho in
+  Array.iter (fun v -> allowed.(v) <- true) ball_a;
+  let by_distance = Ball.closest (Apsp.ball apsp a) n in
+  let x = by_distance.(Array.length by_distance - 1) in
+  if Array.mem x ball_a then None
+  else begin
+    allowed.(x) <- false;
+    let b, _ = (Graph.neighbors (Apsp.graph apsp) x).(0) in
+    allowed.(b) <- true;
+    Some allowed
+  end
+
+let ball_paths apsp allowed ~rho =
+  let fast = ref 0 and slow = ref 0 in
+  Array.iteri
+    (fun u ok ->
+      if ok then
+        if Array.for_all (fun v -> allowed.(v)) (Ball.ball (Apsp.ball apsp u) rho) then incr fast
+        else incr slow)
+    allowed;
+  (!fast, !slow)
+
+let cover_shape cover n =
+  let clusters =
+    Array.map (fun (c : Cover.cluster) -> (c.Cover.center, c.Cover.members)) (Cover.clusters cover)
+  in
+  let homes = Array.init n (fun v -> try Cover.home cover v with Invalid_argument _ -> -1) in
+  (clusters, homes, Array.init n (Cover.clusters_of cover))
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"apsp balls and dijkstra balls build the same cover" ~count:20
+      (triple (int_range 0 1000) (int_range 30 80) (int_range 0 2))
+      (fun (seed, n, r) ->
+        let rng = Rng.create seed in
+        let g = Generators.erdos_renyi rng ~n ~avg_degree:3.0 in
+        let apsp = Apsp.compute g in
+        let rho = [| 2.0; 3.0; 4.0 |].(r) in
+        match allowed_with_both_paths rng apsp ~rho with
+        | None -> QCheck.assume_fail ()
+        | Some allowed ->
+            let fast, slow = ball_paths apsp allowed ~rho in
+            let build ?apsp pool = Cover.build ~allowed:(Array.get allowed) ?apsp ~pool ~k:3 ~rho g in
+            let reference = build one_lane in
+            let via_apsp = build ~apsp two_lanes in
+            fast > 0 && slow > 0
+            && cover_shape via_apsp n = cover_shape reference n
+            && Cover.check_cover via_apsp);
     Test.make ~name:"cover holds on random graphs" ~count:15
       (pair (int_range 0 1000) (int_range 20 80))
       (fun (seed, n) ->
@@ -324,6 +385,7 @@ let qcheck_tests =
   ]
 
 let () =
+  at_exit (fun () -> Cr_util.Domain_pool.shutdown two_lanes);
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
   Alcotest.run "cover"
     [
