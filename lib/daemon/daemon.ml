@@ -6,6 +6,7 @@ module Guard = Cr_guard
 module Jsonl = Cr_util.Jsonl
 module Stats = Cr_util.Stats
 module Counters = Cr_obs.Counters
+module Ring = Cr_obs.Ring
 module Ttcache = Cr_util.Ttcache
 open Compact_routing
 
@@ -74,8 +75,8 @@ type t = {
   mutable lineno : int;
   mutable qindex : int;
   mutable est_cost_s : float;  (* EWMA per-query cost, for shed feasibility *)
-  mutable repair_s : float list;  (* per-batch repair wall times *)
-  mutable stale_stretch : float list;  (* sampled live-graph stretch of answers *)
+  repair_s : float Ring.t;  (* recent per-batch repair wall times *)
+  stale_stretch : float Ring.t;  (* recent sampled live-graph stretch of answers *)
   mutable journal : Journal.writer option;
   snapshot_dir : string option;
   mutable snapshots : int;  (* checkpoints written this run *)
@@ -94,6 +95,10 @@ type t = {
 }
 
 let est_alpha = 0.2
+
+(* a long-running daemon keeps only the most recent samples: the stats
+   percentiles describe the current regime, and memory stays flat *)
+let sample_window = 1024
 
 (* The background rebuild runs on one lane, sequentially in the repair
    domain, as [Apsp.repair] always does.  Fanning it out over the shared
@@ -222,7 +227,7 @@ let worker_loop t =
           Mutex.lock t.lock;
           t.repairing <- false;
           t.serving <- epoch;
-          t.repair_s <- wall_s :: t.repair_s;
+          Ring.push t.repair_s wall_s;
           Counters.incr t.counters "daemon.repairs";
           Counters.add t.counters "daemon.repair.sources" sources;
           Counters.add t.counters "daemon.repair.mutations" (List.length batch);
@@ -368,8 +373,8 @@ let create ?(policy = Guard.Policy.serving) ?(chaos = Guard.Chaos.none) ?(stalen
       lineno = 0;
       qindex = 0;
       est_cost_s = 0.0;
-      repair_s = [];
-      stale_stretch = [];
+      repair_s = Ring.create ~capacity:sample_window;
+      stale_stretch = Ring.create ~capacity:sample_window;
       journal;
       snapshot_dir;
       snapshots = 0;
@@ -465,10 +470,7 @@ let live_graph t = t.live
 let counters t = t.counters
 
 let repair_times_s t =
-  Mutex.lock t.lock;
-  let xs = t.repair_s in
-  Mutex.unlock t.lock;
-  List.rev xs
+  Ring.to_list t.repair_s
 
 let quitting t = t.quit
 
@@ -560,7 +562,7 @@ let sample_staleness t ~u ~v ~(ans : answer) =
         else if live_d = infinity then infinity
         else checked.Simulator.checked_cost /. live_d
       in
-      if Float.is_finite s then t.stale_stretch <- s :: t.stale_stretch
+      if Float.is_finite s then Ring.push t.stale_stretch s
     end
   end
 
@@ -788,7 +790,7 @@ let percentiles xs =
   | [] -> (0.0, 0.0, 0.0)
   | xs ->
       let a = Array.of_list xs in
-      Array.sort compare a;
+      Array.sort Float.compare a;
       (Stats.percentile a 0.5, Stats.percentile a 0.95, Stats.percentile a 0.99)
 
 let cache_sum t f =
@@ -798,7 +800,7 @@ let cache_sum t f =
 let stats_json t =
   let ep, bl = snapshot t in
   Mutex.lock t.lock;
-  let repair_s = t.repair_s and stale = t.stale_stretch in
+  let repair_s = Ring.to_list t.repair_s and stale = Ring.to_list t.stale_stretch in
   let poisoned = t.poisoned and repairing = t.repairing in
   Mutex.unlock t.lock;
   let rp50, rp95, rp99 = percentiles repair_s in

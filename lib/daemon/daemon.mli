@@ -161,9 +161,15 @@ val live_graph : t -> Cr_graph.Graph.t
 val counters : t -> Cr_obs.Counters.t
 (** The [daemon.*] / [guard.*] counters. *)
 
+val sample_window : int
+(** How many recent samples the daemon keeps per series (repair wall
+    times, staleness stretch); the stats percentiles are computed over
+    this window, while the [daemon.*] counters count every sample. *)
+
 val repair_times_s : t -> float list
-(** Per-batch repair wall times, oldest first — the raw series behind
-    the stats percentiles (benches compute their own). *)
+(** The last {!sample_window} per-batch repair wall times, oldest
+    first — the raw series behind the stats percentiles (benches
+    compute their own). *)
 
 val stats_json : t -> string
 (** One strict-JSON object: epoch, backlog, query/mutation/repair

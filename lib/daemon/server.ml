@@ -70,10 +70,11 @@ let netchaos_of_string ~seed = function
 let netchaos_label nc = nc.nlabel
 
 (* every decision is a fresh splitmix64 stream keyed by (seed, conn,
-   req, salt) — the same derivation idiom as Guard.Chaos.qrng — so a
-   run is replayable from its netchaos seed alone *)
+   req, salt) — Rng.keyed, as in Guard.Chaos.qrng, with the connection
+   folded into the salt — so a run is replayable from its netchaos
+   seed alone *)
 let decision nc ~conn ~req ~salt =
-  Rng.create ((nc.nseed * 1_000_003) + (conn * 65_537) + (req * 8_191) + salt)
+  Rng.keyed ~seed:nc.nseed ~index:req ~salt:((conn * 65_537) + salt)
 
 let chaos_delay_s nc ~conn ~req =
   if nc.delay_rate > 0.0 && Rng.bernoulli (decision nc ~conn ~req ~salt:1) nc.delay_rate then

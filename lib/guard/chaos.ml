@@ -70,7 +70,7 @@ let pool_chaos t = t.pool
 let is_none t =
   t.pool = None && t.fail_rate = 0.0 && t.qstall_rate = 0.0
 
-let qrng t ~q ~salt = Rng.create ((t.qseed * 1_000_003) + (q * 8191) + salt)
+let qrng t ~q ~salt = Rng.keyed ~seed:t.qseed ~index:q ~salt
 
 (* number of leading attempts of query [q] that the injected fault
    consumes: 0 for an untouched query, [fail_attempts] for a hit one *)

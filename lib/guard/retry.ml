@@ -33,7 +33,7 @@ let backoff_s p ~key ~attempt =
   let nominal = p.base_s *. (p.multiplier ** float_of_int (attempt - 1)) in
   if p.jitter = 0.0 then nominal
   else begin
-    let rng = Rng.create ((p.seed * 1_000_003) + (key * 8191) + attempt) in
+    let rng = Rng.keyed ~seed:p.seed ~index:key ~salt:attempt in
     let u = Rng.float rng 1.0 in
     nominal *. (1.0 -. p.jitter +. (2.0 *. p.jitter *. u))
   end

@@ -1,140 +1,53 @@
 (* Path-reporting Thorup–Zwick oracle.
 
-   Same sampled hierarchy / pivot / bunch skeleton as
-   Compact_routing.Distance_oracle (identical level sampling and pivot
-   tie-breaks, so the two structures agree on the hierarchy for a given
-   seed), but every bunch entry (u, w) additionally stores a witness:
-   the neighbor of u on the shortest-path tree of w, i.e.
-   (Apsp.sssp w).parent.(u).  A query then not only returns the
-   estimate d(u,w) + d(w,v) but can *stitch* the concrete walk
-   u → … → w → … → v by following witness pointers up both trees.
+   Same hierarchy as the classic TZ distance query
+   (Compact_routing.Tz_hierarchy: single-stream level sampling, pivot
+   tie-breaks and the alternating walk), but every bunch entry (u, w)
+   is a witness entry (Witness): the distance d(u,w) and the neighbor
+   of u on the shortest-path tree of w, both read from SPT(w).  A
+   query then not only returns the estimate d(u,w) + d(w,v) but can
+   *stitch* the concrete walk u → … → w → … → v by following witness
+   pointers up both trees.
 
-   Cluster closure.  Stitching needs the chain invariant: if (u, w) is
-   stored then (x, w) is stored for every x on the tree path u → w.
-   Analytically this holds for bunches under a tie-inclusive membership
-   test, but floating-point distance sums can break it by an ulp (the
-   triangle equality d(x,w) = d(x,u') + d(u',w) is exact over reals,
-   not over doubles).  We therefore *constructively close* the table at
-   build time: for every base bunch entry and for every pivot pair
-   (u, p_j(u)) we walk the parent chain and insert any missing
-   intermediate entries.  The inserted values are pure functions of
-   (x, w) — (sssp w).dist.(x) and (sssp w).parent.(x) — so the final
-   table does not depend on insertion order, and the extra entries are
-   counted honestly in size_entries/storage_bits (closure_entries
-   reports how many the closure added). *)
+   Pricing membership from SPT(w) rather than SPT(u) keeps every entry
+   a pure function of (x, w), closure entries included, so the final
+   table does not depend on insertion order.  The table is closed over
+   its base bunch entries and over every pivot pair (u, p_j(u)), and
+   the extra entries are counted honestly in size_entries/storage_bits
+   (closure_entries reports how many the closure added). *)
 
 module Graph = Cr_graph.Graph
 module Apsp = Cr_graph.Apsp
-module Dijkstra = Cr_graph.Dijkstra
 module Bits = Cr_util.Bits
-module Rng = Cr_util.Rng
 module Trace = Cr_obs.Trace
-
-type entry = { dist : float; next : int }
+module Tz = Compact_routing.Tz_hierarchy
 
 type t = {
-  k : int;
+  h : Tz.t;
   n : int;
-  pivots : int array array; (* pivots.(u).(j): closest A_j node, -1 if none *)
-  pivot_dist : float array array;
-  bunches : (int, entry) Hashtbl.t array; (* witness w -> (d(u,w), hop toward w) *)
+  bunches : Witness.table; (* witness w -> (d(u,w), hop toward w) *)
   closure_entries : int;
 }
 
 type answer = { est : float; walk : int list; via : int; levels : int }
 
-(* Insert the chain u → … → w of SPT(w) into the bunch tables,
-   returning how many entries were actually added.  Values are pure in
-   (x, w), so re-inserting an existing entry is a no-op by value. *)
-let close_chain bunches sw w u =
-  let added = ref 0 in
-  let x = ref u in
-  let steps = ref 0 in
-  let n = Array.length sw.Dijkstra.dist in
-  while !x <> w do
-    if !steps > n then invalid_arg "Path_oracle: cyclic parent chain";
-    incr steps;
-    let nx = sw.Dijkstra.parent.(!x) in
-    if nx < 0 then invalid_arg "Path_oracle: broken parent chain";
-    if not (Hashtbl.mem bunches.(!x) w) then begin
-      Hashtbl.replace bunches.(!x) w { dist = sw.Dijkstra.dist.(!x); next = nx };
-      incr added
-    end;
-    x := nx
-  done;
-  if not (Hashtbl.mem bunches.(w) w) then begin
-    Hashtbl.replace bunches.(w) w { dist = 0.0; next = -1 };
-    incr added
-  end;
-  !added
-
 let build ?(k = 3) ?(seed = 31) apsp =
-  if k < 1 then invalid_arg "Path_oracle.build: k < 1";
-  let g = Apsp.graph apsp in
-  let n = Graph.n g in
-  let rng = Rng.create seed in
-  let p = float_of_int n ** (-1.0 /. float_of_int k) in
-  let level = Array.make n 0 in
-  for v = 0 to n - 1 do
-    let rec climb j = if j < k - 1 && Rng.bernoulli rng p then climb (j + 1) else j in
-    level.(v) <- climb 0
-  done;
-  if k > 1 && not (Array.exists (fun l -> l = k - 1) level) then level.(0) <- k - 1;
-  let pivots = Array.make_matrix n k (-1) in
-  let pivot_dist = Array.make_matrix n k infinity in
-  for u = 0 to n - 1 do
-    let d = (Apsp.sssp apsp u).Dijkstra.dist in
-    for v = 0 to n - 1 do
-      if d.(v) < infinity then
-        for j = 0 to level.(v) do
-          if
-            d.(v) < pivot_dist.(u).(j)
-            || (d.(v) = pivot_dist.(u).(j) && (pivots.(u).(j) = -1 || v < pivots.(u).(j)))
-          then begin
-            pivot_dist.(u).(j) <- d.(v);
-            pivots.(u).(j) <- v
-          end
-        done
-    done
-  done;
-  let bunches = Array.init n (fun _ -> Hashtbl.create 16) in
-  let base = ref 0 in
-  for w = 0 to n - 1 do
-    let sw = Apsp.sssp apsp w in
-    let d = sw.Dijkstra.dist in
-    let j = level.(w) in
-    for u = 0 to n - 1 do
-      if d.(u) < infinity then begin
-        let next_pivot_d = if j + 1 >= k then infinity else pivot_dist.(u).(j + 1) in
-        if d.(u) < next_pivot_d then begin
-          Hashtbl.replace bunches.(u) w { dist = d.(u); next = sw.Dijkstra.parent.(u) };
-          incr base
-        end
-      end
-    done
-  done;
-  (* constructive closure: base bunch entries, then pivot chains *)
-  let closed = ref 0 in
-  for w = 0 to n - 1 do
-    let sw = Apsp.sssp apsp w in
-    for u = 0 to n - 1 do
-      if Hashtbl.mem bunches.(u) w then closed := !closed + close_chain bunches sw w u
-    done
-  done;
+  let n = Graph.n (Apsp.graph apsp) in
+  let h = Tz.create apsp ~k ~level:(Tz.sample_stream ~seed ~n ~k) in
+  let bunches, closed = Witness.build apsp ~radius:(Tz.bunch_radius h) in
+  let closed = ref closed in
   for u = 0 to n - 1 do
     for j = 0 to k - 1 do
-      let w = pivots.(u).(j) in
-      if w >= 0 then closed := !closed + close_chain bunches (Apsp.sssp apsp w) w u
+      let w = Tz.pivot h u j in
+      if w >= 0 then closed := !closed + Witness.close_chain bunches (Apsp.sssp apsp w) w u
     done
   done;
-  { k; n; pivots; pivot_dist; bunches; closure_entries = !closed }
+  { h; n; bunches; closure_entries = !closed }
 
-let k t = t.k
-let stretch_bound t = float_of_int ((2 * t.k) - 1)
+let k t = Tz.k t.h
+let stretch_bound t = Tz.stretch_bound t.h
 let closure_entries t = t.closure_entries
-
-let size_entries t = Array.fold_left (fun acc b -> acc + Hashtbl.length b) 0 t.bunches
-
+let size_entries t = Witness.size_entries t.bunches
 let node_entries t u = Hashtbl.length t.bunches.(u)
 
 let storage_bits t =
@@ -142,68 +55,34 @@ let storage_bits t =
   (* bunch: witness id + exact distance + next-hop id; pivot tables:
      k ids + k distances per node *)
   (size_entries t * ((2 * idb) + Bits.distance_bits))
-  + (t.n * t.k * (idb + Bits.distance_bits))
+  + (t.n * k t * (idb + Bits.distance_bits))
 
-let emit trace ev = match trace with None -> () | Some sink -> sink ev
-
-(* The alternating walk from the canonical (min, max) ordering (the raw
-   alternation is not symmetric — see Distance_oracle.query).  Returns
-   the termination state: active endpoint x whose level-j pivot w landed
-   in the other endpoint's bunch, with both half-distances. *)
 let alternate ?trace t u v =
-  let rec walk j x y w dxw =
-    match Hashtbl.find_opt t.bunches.(y) w with
-    | Some e ->
-        emit trace (Trace.Bunch_probe { level = j; active = x; witness = w; hit = true });
-        Some (x, y, j, w, dxw, e)
-    | None ->
-        emit trace (Trace.Bunch_probe { level = j; active = x; witness = w; hit = false });
-        let j = j + 1 in
-        if j >= t.k then None
-        else begin
-          let w' = t.pivots.(y).(j) in
-          if w' < 0 then None else walk j y x w' t.pivot_dist.(y).(j)
-        end
-  in
-  let w0 = t.pivots.(u).(0) in
-  if w0 < 0 then None else walk 0 u v w0 t.pivot_dist.(u).(0)
+  Tz.alternate ?trace t.h (fun y w -> Hashtbl.find_opt t.bunches.(y) w) u v
 
 let query ?trace t u v =
-  let u, v = (min u v, max u v) in
   if u = v then 0.0
   else
     match alternate ?trace t u v with
     | None -> infinity
-    | Some (_, _, _, _, dxw, e) -> dxw +. e.dist
-
-(* Chain x → … → w through the bunch next-pointers; the closure
-   invariant guarantees every intermediate entry exists. *)
-let chain t x w =
-  let rec go x acc steps =
-    if steps > t.n then invalid_arg "Path_oracle: cyclic witness chain";
-    if x = w then List.rev (w :: acc)
-    else
-      match Hashtbl.find_opt t.bunches.(x) w with
-      | None -> invalid_arg "Path_oracle: closure invariant broken"
-      | Some e -> go e.next (x :: acc) (steps + 1)
-  in
-  go x [] 0
+    | Some m -> m.Tz.active_dist +. m.Tz.entry.Witness.dist
 
 let path ?trace t u v =
   if u = v then Some { est = 0.0; walk = [ u ]; via = u; levels = 0 }
-  else begin
-    let cu, cv = (min u v, max u v) in
-    match alternate ?trace t cu cv with
+  else
+    match alternate ?trace t u v with
     | None -> None
-    | Some (x, y, j, w, dxw, e) ->
-        let up = chain t x w in
-        let down = chain t y w in
-        emit trace
-          (Trace.Stitch { via = w; up_hops = List.length up - 1; down_hops = List.length down - 1 });
+    | Some { Tz.active = x; other = y; level; witness = w; active_dist; entry } ->
+        let up = Witness.chain t.bunches x w in
+        let down = Witness.chain t.bunches y w in
+        (match trace with
+        | None -> ()
+        | Some sink ->
+            sink
+              (Trace.Stitch
+                 { via = w; up_hops = List.length up - 1; down_hops = List.length down - 1 }));
         (* up ends at w, down starts from y and ends at w: glue into
            x → … → w → … → y, then orient from u *)
         let x_to_y = up @ List.tl (List.rev down) in
-        let canon = if x = cu then x_to_y else List.rev x_to_y in
-        let walk = if u = cu then canon else List.rev canon in
-        Some { est = dxw +. e.dist; walk; via = w; levels = j + 1 }
-  end
+        let walk = if x = u then x_to_y else List.rev x_to_y in
+        Some { est = active_dist +. entry.Witness.dist; walk; via = w; levels = level + 1 }

@@ -1,7 +1,8 @@
 (** Roditty–Tov-style routing baseline over the path-reporting oracle.
 
     The 8th scheme of the roster (name ["rt"]): route [src → dst] along
-    the walk {!Path_oracle.path} stitches.  The oracle's bunch tables
+    the walk {!Path_oracle.path} stitches over the shared
+    {!Compact_routing.Tz_hierarchy}.  The oracle's bunch tables
     double as routing tables — every entry already stores the next hop
     toward its witness — so per-node storage is charged as
     [oracle_bunch] (witness id + distance + next-hop id per entry) plus

@@ -120,7 +120,7 @@ let run_job j ~lane =
   let chaos_rng =
     match j.chaos with
     | Some c when c.crash_rate > 0.0 || c.stall_rate > 0.0 ->
-        Some (c, Rng.create ((c.seed * 1_000_003) + (j.gen * 8191) + lane))
+        Some (c, Rng.keyed ~seed:c.seed ~index:j.gen ~salt:lane)
     | _ -> None
   in
   (* a worker lane's fate is sealed when the job starts, not per chunk:

@@ -9,6 +9,8 @@ let mix64 z =
 
 let create seed = { state = mix64 (Int64.of_int seed) }
 
+let keyed ~seed ~index ~salt = create ((seed * 1_000_003) + (index * 8191) + salt)
+
 let copy t = { state = t.state }
 
 let bits64 t =

@@ -14,6 +14,13 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
+val keyed : seed:int -> index:int -> salt:int -> t
+(** [keyed ~seed ~index ~salt] is a fresh stream for decision [salt]
+    of item [index] under a run's [seed]: the derivation behind every
+    replayable per-query, per-attempt or per-lane fault draw.  It is
+    [create (seed * 1_000_003 + index * 8191 + salt)]; streams for
+    nearby keys are independent because [create] mixes its seed. *)
+
 val copy : t -> t
 (** Independent copy of the current state. *)
 

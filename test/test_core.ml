@@ -586,15 +586,24 @@ let test_agm06_describe_node () =
   checkb "mentions global root" true (contains_substring s "global root")
 
 (* ------------------------------------------------------------------ *)
-(* Distance_oracle (Thorup-Zwick [30]) *)
+(* Tz_hierarchy distance query (Thorup-Zwick [30]) *)
+
+(* The classic TZ distance oracle [30]: the stream-sampled hierarchy
+   (seed 31 is the oracles' default) with bunches priced from SPT(u). *)
+let tz_oracle ?(seed = 31) ~k apsp =
+  let n = Graph.n (Apsp.graph apsp) in
+  let h = Tz_hierarchy.create apsp ~k ~level:(Tz_hierarchy.sample_stream ~seed ~n ~k) in
+  (h, Tz_hierarchy.bunches apsp h)
+
+let tz_query (h, b) u v = Tz_hierarchy.query h b u v
 
 let test_oracle_exact_for_k1 () =
   let apsp = prepared_graph ~n:60 211 in
-  let oracle = Distance_oracle.build ~k:1 apsp in
+  let oracle = tz_oracle ~k:1 apsp in
   for u = 0 to 59 do
     for v = 0 to 59 do
       checkb "k=1 exact" true
-        (Float.abs (Distance_oracle.query oracle u v -. Apsp.distance apsp u v) < 1e-9)
+        (Float.abs (tz_query oracle u v -. Apsp.distance apsp u v) < 1e-9)
     done
   done
 
@@ -602,12 +611,12 @@ let test_oracle_stretch_bound () =
   let apsp = prepared_graph ~n:120 223 in
   List.iter
     (fun k ->
-      let oracle = Distance_oracle.build ~k apsp in
-      let bound = Distance_oracle.stretch_bound oracle in
+      let oracle = tz_oracle ~k apsp in
+      let bound = Tz_hierarchy.stretch_bound (fst oracle) in
       for u = 0 to 119 do
         for v = 0 to 119 do
           if u <> v then begin
-            let est = Distance_oracle.query oracle u v in
+            let est = tz_query oracle u v in
             let true_d = Apsp.distance apsp u v in
             checkb "never underestimates" true (est >= true_d -. 1e-9);
             checkb
@@ -622,20 +631,24 @@ let test_oracle_stretch_bound () =
 let test_oracle_self_and_disconnected () =
   let g = Graph.create ~n:4 [ (0, 1, 1.0); (2, 3, 2.0) ] in
   let apsp = Apsp.compute g in
-  let oracle = Distance_oracle.build ~k:2 apsp in
-  checkf "self" 0.0 (Distance_oracle.query oracle 1 1);
-  checkb "disconnected" true (Distance_oracle.query oracle 0 3 = infinity)
+  let oracle = tz_oracle ~k:2 apsp in
+  checkf "self" 0.0 (tz_query oracle 1 1);
+  checkb "disconnected" true (tz_query oracle 0 3 = infinity);
+  let rejects f = try ignore (f ()); false with Invalid_argument _ -> true in
+  checkb "k < 1 rejected" true (rejects (fun () -> tz_oracle ~k:0 apsp));
+  checkb "tz routing k < 1 rejected" true (rejects (fun () -> Baseline_tz.build ~k:0 apsp))
 
 let test_oracle_size_sublinear_per_node () =
   (* expected bunch size O(k n^{1/k}): entries/n should grow slowly *)
   let a = prepared_graph ~n:100 227 in
   let b = prepared_graph ~n:400 227 in
-  let oa = Distance_oracle.build ~k:2 a and ob = Distance_oracle.build ~k:2 b in
-  let per_a = float_of_int (Distance_oracle.size_entries oa) /. 100.0 in
-  let per_b = float_of_int (Distance_oracle.size_entries ob) /. 400.0 in
+  let oa = tz_oracle ~k:2 a and ob = tz_oracle ~k:2 b in
+  let per_a = float_of_int (Tz_hierarchy.size_entries (snd oa)) /. 100.0 in
+  let per_b = float_of_int (Tz_hierarchy.size_entries (snd ob)) /. 400.0 in
   (* n grew 4x; sqrt shape predicts ~2x; allow 3x *)
   checkb (Printf.sprintf "bunch growth %.2fx" (per_b /. per_a)) true (per_b /. per_a < 3.0);
-  checkb "storage positive" true (Distance_oracle.storage_bits oa > 0)
+  checkb "storage positive" true
+    (Tz_hierarchy.size_entries (snd oa) * (Bits.id_bits ~n:100 + Bits.distance_bits) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Pool-width invariance: AGM06 construction runs its per-node and
@@ -698,13 +711,13 @@ let qcheck_tests =
       (pair (int_range 0 500) (int_range 1 4))
       (fun (seed, k) ->
         let apsp = prepared_graph ~n:60 seed in
-        let o = Distance_oracle.build ~k ~seed apsp in
-        let bound = Distance_oracle.stretch_bound o in
+        let o = tz_oracle ~k ~seed apsp in
+        let bound = Tz_hierarchy.stretch_bound (fst o) in
         let ok = ref true in
         for u = 0 to 59 do
           for v = u + 1 to 59 do
             let d = Apsp.distance apsp u v in
-            let e = Distance_oracle.query o u v in
+            let e = tz_query o u v in
             if d = infinity then (if e <> infinity then ok := false)
             else if e < d -. 1e-9 || e > (bound *. d) +. 1e-9 then ok := false
           done
@@ -714,12 +727,12 @@ let qcheck_tests =
       (pair (int_range 0 500) (int_range 1 4))
       (fun (seed, k) ->
         let apsp = prepared_graph ~n:50 seed in
-        let o = Distance_oracle.build ~k ~seed apsp in
+        let o = tz_oracle ~k ~seed apsp in
         let ok = ref true in
         for u = 0 to 49 do
           for v = 0 to 49 do
             (* exact equality: both directions run the canonical walk *)
-            if Distance_oracle.query o u v <> Distance_oracle.query o v u then ok := false
+            if tz_query o u v <> tz_query o v u then ok := false
           done
         done;
         !ok);
@@ -727,13 +740,13 @@ let qcheck_tests =
       (pair (int_range 0 500) (int_range 1 4))
       (fun (seed, k) ->
         let apsp = prepared_graph ~n:40 seed in
-        let a = Distance_oracle.build ~k ~seed apsp in
-        let b = Distance_oracle.build ~k ~seed apsp in
+        let a = tz_oracle ~k ~seed apsp in
+        let b = tz_oracle ~k ~seed apsp in
         let ok = ref true in
-        if Distance_oracle.size_entries a <> Distance_oracle.size_entries b then ok := false;
+        if Tz_hierarchy.size_entries (snd a) <> Tz_hierarchy.size_entries (snd b) then ok := false;
         for u = 0 to 39 do
           for v = 0 to 39 do
-            if Distance_oracle.query a u v <> Distance_oracle.query b u v then ok := false
+            if tz_query a u v <> tz_query b u v then ok := false
           done
         done;
         !ok);

@@ -203,6 +203,46 @@ let test_path_command () =
   checkb "oracle sized" true (contains stats "\"oracle_entries\":");
   Daemon.close d
 
+(* a numeric field of the flat stats object *)
+let stats_float json key =
+  let tag = Printf.sprintf "\"%s\":" key in
+  let nt = String.length tag and nj = String.length json in
+  let rec find i =
+    if i + nt > nj then Alcotest.failf "no %s in %s" key json
+    else if String.sub json i nt = tag then i + nt
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < nj && json.[!stop] <> ',' && json.[!stop] <> '}' do incr stop done;
+  float_of_string (String.sub json start (!stop - start))
+
+let test_stale_samples_windowed () =
+  (* sample every answer: one pass over all ordered pairs leaves
+     stretched walks in the window; a full window of self-routes
+     (stretch exactly 1) must then push every one of them out *)
+  let g = mk_graph 21 in
+  let n = Graph.n g in
+  let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:1 ~params g in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      ignore (feed d (Printf.sprintf "route %d %d" u v))
+    done
+  done;
+  let before = Daemon.stats_json d in
+  checkb "stretched samples in the window" true (stats_float before "stale_stretch_p99" > 1.0);
+  for _ = 1 to Daemon.sample_window do
+    ignore (feed d "route 0 0")
+  done;
+  let after = Daemon.stats_json d in
+  List.iter
+    (fun p -> Alcotest.(check (float 0.0)) p 1.0 (stats_float after p))
+    [ "stale_stretch_p50"; "stale_stretch_p95"; "stale_stretch_p99" ];
+  (* the counter still counts every sample, not just the retained ones *)
+  checki "samples counted" ((n * n) + Daemon.sample_window)
+    (int_of_float (stats_float after "stale_samples"));
+  Daemon.close d
+
 let test_stats_json_strict () =
   let d = Daemon.create ~staleness_every:0 ~params (mk_graph 9) in
   ignore (feed d "route 0 5");
@@ -905,6 +945,7 @@ let () =
           Alcotest.test_case "mutation validation" `Quick test_mutation_validation;
           Alcotest.test_case "path command" `Quick test_path_command;
           Alcotest.test_case "stats json strict" `Quick test_stats_json_strict;
+          Alcotest.test_case "stale samples windowed" `Quick test_stale_samples_windowed;
           Alcotest.test_case "journal replays" `Quick test_journal_replays;
         ] );
       ( "serving",

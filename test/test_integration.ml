@@ -161,6 +161,15 @@ let prepared () =
   let rng = Rng.create 15 in
   Apsp.compute (Graph.normalize (Graph.relabel rng (Generators.erdos_renyi rng ~n:90 ~avg_degree:4.0)))
 
+(* The classic TZ distance oracle [30]: the stream-sampled hierarchy
+   (seed 31 is the oracles' default) with bunches priced from SPT(u). *)
+let tz_oracle ?(seed = 31) ~k apsp =
+  let n = Graph.n (Apsp.graph apsp) in
+  let h = Tz_hierarchy.create apsp ~k ~level:(Tz_hierarchy.sample_stream ~seed ~n ~k) in
+  (h, Tz_hierarchy.bunches apsp h)
+
+let tz_query (h, b) u v = Tz_hierarchy.query h b u v
+
 let test_oracle_vs_tz_routing () =
   (* the TZ routing baseline can never beat the distance its own oracle
      machinery reports by more than measurement noise... in fact routing
@@ -168,14 +177,14 @@ let test_oracle_vs_tz_routing () =
      within (4k-5) resp. (2k-1) of the truth *)
   let apsp = prepared ()
   and k = 3 in
-  let oracle = Distance_oracle.build ~k ~seed:99 apsp in
+  let oracle = tz_oracle ~k ~seed:99 apsp in
   let sch = Baseline_tz.build ~k ~seed:99 apsp in
   let n = Graph.n (Apsp.graph apsp) in
   for s = 0 to n - 1 do
     let d = (s + (n / 3)) mod n in
     if s <> d then begin
       let true_d = Apsp.distance apsp s d in
-      let est = Distance_oracle.query oracle s d in
+      let est = tz_query oracle s d in
       let m = Simulator.measure apsp sch s d in
       checkb "oracle within bound" true (est <= (float_of_int ((2 * k) - 1) *. true_d) +. 1e-9);
       checkb "routing within bound" true

@@ -97,22 +97,51 @@ let test_path_disconnected () =
   checkb "path none" true (Po.path oracle 0 4 = None);
   checkb "same side ok" true (Po.path oracle 3 5 <> None)
 
+(* The classic TZ distance oracle [30]: the stream-sampled hierarchy
+   (seed 31 is the oracles' default) with bunches priced from SPT(u). *)
+let tz_oracle ?(seed = 31) ~k apsp =
+  let n = Graph.n (Apsp.graph apsp) in
+  let h = Tz_hierarchy.create apsp ~k ~level:(Tz_hierarchy.sample_stream ~seed ~n ~k) in
+  (h, Tz_hierarchy.bunches apsp h)
+
+let tz_query (h, b) u v = Tz_hierarchy.query h b u v
+
 let test_path_never_worse_than_distance_oracle () =
   (* same hierarchy, same seed: the path oracle's closure only adds
-     entries, so its alternating walk can stop no later *)
+     entries, so its alternating walk can stop no later.  The two price
+     d(u,w) from different trees (SPT(w) here, SPT(u) in the TZ query),
+     so "no worse" holds up to rounding, not bitwise; weighted geometric
+     and power-law graphs are where the two pricings disagree most *)
+  let graphs =
+    List.concat_map
+      (fun seed ->
+        [
+          ("er", seed, prepared_graph ~n:60 seed);
+          ( "geo aspect 4096",
+            seed,
+            Apsp.compute
+              (Experiment.make_graph_with_aspect ~seed ~target_aspect:4096.0
+                 (Experiment.Geometric { n = 128; radius = 0.2 })) );
+          ( "pl",
+            seed,
+            Apsp.compute
+              (Experiment.make_graph ~seed (Experiment.Power_law { n = 128; exponent = 2.5 })) );
+        ])
+      [ 2; 17; 23 ]
+  in
   List.iter
-    (fun seed ->
-      let apsp = prepared_graph ~n:60 seed in
+    (fun (family, seed, apsp) ->
+      let n = Graph.n (Apsp.graph apsp) in
       let po = Po.build ~k:3 ~seed apsp in
-      let dz = Distance_oracle.build ~k:3 ~seed apsp in
+      let dz = tz_oracle ~k:3 ~seed apsp in
       let ok = ref true in
-      for u = 0 to 59 do
-        for v = 0 to 59 do
-          if Po.query po u v > Distance_oracle.query dz u v +. 1e-9 then ok := false
+      for u = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          if Po.query po u v > tz_query dz u v +. 1e-9 then ok := false
         done
       done;
-      checkb (Printf.sprintf "seed %d" seed) true !ok)
-    [ 2; 17; 23 ]
+      checkb (Printf.sprintf "%s seed %d" family seed) true !ok)
+    graphs
 
 let test_path_deterministic () =
   let apsp = prepared_graph ~n:50 29 in
