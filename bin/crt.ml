@@ -964,7 +964,7 @@ let daemon_cmd =
   let max_conns_arg =
     Arg.(value & opt int 64
          & info [ "max-conns" ] ~docv:"N"
-             ~doc:"Connection cap for --listen; clients beyond it are shed with a structured err busy.")
+             ~doc:"Connection cap for --listen, at most 960 (select's FD_SETSIZE less headroom); clients beyond it are shed with a structured err busy.")
   in
   let max_line_arg =
     Arg.(value & opt int 4096
@@ -1071,6 +1071,10 @@ let daemon_cmd =
         Printf.eprintf "crt: %s\n" msg;
         exit 1
     in
+    (* Start-up and --recover builds are done, and repair runs on the
+       daemon's own one-lane pool: an idle shared-pool domain would only
+       join every minor collection's stop-the-world phase. *)
+    Pool.shutdown_shared ();
     let g = Daemon.live_graph d in
     Printf.printf "ok ready n=%d m=%d k=%d guards=%s chaos=%s\n" (Graph.n g) (Graph.m g) k
       guards (Cr_guard.Chaos.label chaos);

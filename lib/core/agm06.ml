@@ -159,17 +159,17 @@ let build ?params ?(mode = Full) ?profile ?(pool = Pool.shared ()) apsp =
     let keep =
       if keep_all then fun _ -> true
       else begin
-        let members = Hashtbl.create 16 in
-        List.iter (fun u -> Hashtbl.replace members u ()) members_of.(v);
-        Hashtbl.replace members v ();
-        fun w -> Hashtbl.mem members w
+        let members = Array.make n false in
+        List.iter (fun u -> members.(u) <- true) members_of.(v);
+        members.(v) <- true;
+        fun w -> members.(w)
       end
     in
     let tree = Tree.of_sssp g (Apsp.sssp apsp v) ~keep in
     let ni = Ni.build ~seed:(seed + v + 1) ~k ~n_global:n tree in
     let nodes = Tree.nodes tree in
     let retained = if keep_all || Hashtbl.mem sparse_centers v then Some ni else None in
-    (nodes, Array.map (Ni.node_storage_bits ni) nodes, retained)
+    (nodes, Array.init (Array.length nodes) (Ni.node_storage_bits_at ni), retained)
   in
   let global_ni =
     prof "sparse-trees" (fun () ->
@@ -187,13 +187,24 @@ let build ?params ?(mode = Full) ?profile ?(pool = Pool.shared ()) apsp =
         let built = Array.make (Array.length roots) ([||], [||], None) in
         Pool.parallel_for ~chunk:1 pool ~n:(Array.length roots) (fun i ->
             built.(i) <- build_center_tree roots.(i) ~keep_all:(i = 0));
+        (* every tree's bits are positive, so summing them per node and
+           adding each sum once gives [Storage] the same totals *)
+        let sparse_bits = Array.make n 0 in
         Array.iteri
           (fun i v ->
             let nodes, bits, retained = built.(i) in
-            let category = if i = 0 then "fallback" else "sparse-trees" in
-            Array.iteri (fun j w -> Storage.add storage ~node:w ~category ~bits:bits.(j)) nodes;
-            if i > 0 then Option.iter (Hashtbl.replace centers v) retained)
+            if i = 0 then
+              Array.iteri
+                (fun j w -> Storage.add storage ~node:w ~category:"fallback" ~bits:bits.(j))
+                nodes
+            else begin
+              Array.iteri (fun j w -> sparse_bits.(w) <- sparse_bits.(w) + bits.(j)) nodes;
+              Option.iter (Hashtbl.replace centers v) retained
+            end)
           roots;
+        Array.iteri
+          (fun w bits -> if bits > 0 then Storage.add storage ~node:w ~category:"sparse-trees" ~bits)
+          sparse_bits;
         let _, _, global = built.(0) in
         let global_ni = Option.get global in
         Hashtbl.replace centers global_root global_ni;

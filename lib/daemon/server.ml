@@ -169,8 +169,19 @@ let now () = Unix.gettimeofday ()
 
 let tick_s = 0.02  (* select granularity: deadline/chaos timing resolution *)
 
+(* [Unix.select] takes descriptors below FD_SETSIZE (1024 on Linux); one
+   at or above it fails the call with EINVAL and would end the event
+   loop.  Admitted connections leave headroom for the process's other
+   descriptors: stdio, the listen socket, the journal, event and
+   snapshot files, and the one accepted only to be shed. *)
+let max_conns_limit = 1024 - 64
+
 let create ?(config = default_config) daemon address =
   if config.max_conns < 1 then invalid_arg "Server.create: max_conns must be >= 1";
+  if config.max_conns > max_conns_limit then
+    invalid_arg
+      (Printf.sprintf "Server.create: max_conns must be <= %d (select's FD_SETSIZE less headroom)"
+         max_conns_limit);
   if config.max_line < 16 then invalid_arg "Server.create: max_line must be >= 16";
   if config.write_queue_max < 1 then invalid_arg "Server.create: write_queue_max must be >= 1";
   if config.drain_s < 0.0 then invalid_arg "Server.create: drain_s must be >= 0";
@@ -447,26 +458,6 @@ let service_accept t =
         in
         t.conns <- c :: t.conns
 
-let service_read t scratch c =
-  if not c.dead then
-    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-    | exception Unix.Unix_error _ -> close_conn t c Disconnected
-    | 0 ->
-        if Buffer.length c.rbuf > 0 then begin
-          (* the client died mid-line: torn input.  The partial line is
-             dropped, queued responses still flush, the outcome is
-             honest *)
-          t.stats.torn <- t.stats.torn + 1;
-          Buffer.clear c.rbuf;
-          finish t c Disconnected
-        end
-        else finish t c Served
-    | n ->
-        c.last_activity <- now ();
-        Buffer.add_subbytes c.rbuf scratch 0 n;
-        process_lines t c
-
 let service_write t c tnow =
   if (not c.dead) && c.wq_bytes > 0 && tnow >= c.no_write_before then begin
     let head = Queue.peek c.wq in
@@ -488,6 +479,30 @@ let service_write t c tnow =
           (* keep the dribble torn over time, not just split once *)
           c.no_write_before <- tnow +. (tick_s /. 4.0)
   end
+
+let service_read t scratch c =
+  if not c.dead then
+    match Unix.read c.fd scratch 0 (Bytes.length scratch) with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+    | exception Unix.Unix_error _ -> close_conn t c Disconnected
+    | 0 ->
+        if Buffer.length c.rbuf > 0 then begin
+          (* the client died mid-line: torn input.  The partial line is
+             dropped, queued responses still flush, the outcome is
+             honest *)
+          t.stats.torn <- t.stats.torn + 1;
+          Buffer.clear c.rbuf;
+          finish t c Disconnected
+        end
+        else finish t c Served
+    | n ->
+        c.last_activity <- now ();
+        Buffer.add_subbytes c.rbuf scratch 0 n;
+        process_lines t c;
+        (* write what these lines queued in this turn, not after the
+           next [select]: [service_write] still honours the netchaos
+           delay and short-write cap *)
+        service_write t c (now ())
 
 (* ---- deadlines, drains, sweeps ---------------------------------------- *)
 

@@ -121,12 +121,20 @@ type stats = {
   mutable drained : bool;  (** {!stop} was requested and the drain ran *)
 }
 
+val max_conns_limit : int
+(** Largest accepted [max_conns]: 960, FD_SETSIZE (1024) less headroom
+    for the process's other descriptors.  The event loop multiplexes
+    with [Unix.select], which fails on a descriptor at or above
+    FD_SETSIZE. *)
+
 type t
 
 val create : ?config:config -> Daemon.t -> addr -> t
 (** Binds and listens (unlinking a stale unix-socket path, reusing TCP
     addresses).  SIGPIPE is ignored process-wide — a peer closing
     mid-write must surface as [EPIPE], not kill the daemon.
+    @raise Invalid_argument on a config out of range ([max_conns]
+    outside [1 .. max_conns_limit], ...), before binding anything.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val addr : t -> addr

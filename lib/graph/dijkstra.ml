@@ -17,9 +17,12 @@ let run_general g ~allowed ~max_edge ~bound s =
   Heap.insert heap s 0.0;
   let settled = Array.make n false in
   while not (Heap.is_empty heap) do
-    let u, du = Heap.pop_min heap in
+    let u = Heap.pop_min_elt heap in
     if not settled.(u) then begin
       settled.(u) <- true;
+      (* [u]'s heap priority was its [dist] entry: both are written
+         together below *)
+      let du = dist.(u) in
       (* No equal-distance parent rewriting: with extreme aspect ratios,
          floating-point rounding can make [du +. w = du], and a
          lexicographic tie-break would then create parent cycles.  The
@@ -28,21 +31,28 @@ let run_general g ~allowed ~max_edge ~bound s =
          and source, independent of relaxation history; [Apsp.repair]
          relies on that to share clean sources' results bit-identically
          across mutations that cannot affect them. *)
-      let relax (v, w) =
+      let adj = Graph.neighbors g u in
+      for j = 0 to Array.length adj - 1 do
+        let v, w = adj.(j) in
         if allowed v && w <= max_edge && not settled.(v) then begin
           let dv = du +. w in
           if dv <= bound && dv < dist.(v) then begin
             dist.(v) <- dv;
             parent.(v) <- u;
-            (match Graph.port g v u with
-            | Some p -> parent_port.(v) <- p
-            | None -> assert false);
             Heap.insert_or_decrease heap v dv
           end
         end
-      in
-      Array.iter relax (Graph.neighbors g u)
+      done
     end
+  done;
+  (* ports once per reached node, for its final parent ([Graph.port] is
+     a search) *)
+  for v = 0 to n - 1 do
+    let p = parent.(v) in
+    if p >= 0 then
+      match Graph.port g v p with
+      | Some port -> parent_port.(v) <- port
+      | None -> assert false
   done;
   { source = s; dist; parent; parent_port }
 

@@ -8,7 +8,7 @@ type search_result = { walk : int list; outcome : outcome }
 type t = {
   tree : Tree.t;
   labels : Tree_labels.t;
-  dir : (int, int) Hashtbl.t array; (* by dfs index: ident -> graph id *)
+  dir : Tree_directory.t; (* by dfs index: ident -> tree index *)
 }
 
 (* Deterministic avalanche of an identifier into [0, m). *)
@@ -21,16 +21,18 @@ let slot_of ident m =
 
 let build tree =
   let labels = Tree_labels.build tree in
+  let g = Tree.graph tree in
   let m = Tree.size tree in
-  let dir = Array.init m (fun _ -> Hashtbl.create 2) in
-  Array.iter
-    (fun v ->
-      if Tree.is_member tree v then begin
-        let ident = Graph.name_of (Tree.graph tree) v in
-        Hashtbl.replace dir.(slot_of ident m) ident v
-      end)
-    (Tree.nodes tree);
-  { tree; labels; dir }
+  let slot = Array.make m 0 and node = Array.make m 0 in
+  let entries = ref 0 in
+  for i = 0 to m - 1 do
+    if Tree.member_at tree i then begin
+      slot.(!entries) <- slot_of (Graph.name_of g (Tree.graph_node tree i)) m;
+      node.(!entries) <- i;
+      incr entries
+    end
+  done;
+  { tree; labels; dir = Tree_directory.build tree ~entries:!entries ~slot ~node }
 
 let tree t = t.tree
 
@@ -39,25 +41,24 @@ let append_path tree walk_rev a b =
   | [] -> walk_rev
   | _first :: rest -> List.rev_append rest walk_rev
 
-(* Descend from the root to the node with the given DFS index by interval
+(* Descend from the root to the node at DFS position q by interval
    containment — every step is a local decision on stored child
    intervals. *)
 let descend tree q =
-  let rec go v acc =
-    if Tree.dfs_index tree v = q then List.rev (v :: acc)
+  let rec go i acc =
+    let acc = Tree.graph_node tree i :: acc in
+    if Tree.dfs_position tree i = q then List.rev acc
     else begin
-      let ch = Tree.children tree v in
       let next = ref (-1) in
-      Array.iter
-        (fun c ->
-          let lo, hi = Tree.subtree_interval tree c in
-          if q >= lo && q < hi then next := c)
-        ch;
+      for j = 0 to Tree.child_count tree i - 1 do
+        let c = Tree.child tree i j in
+        if q >= Tree.dfs_position tree c && q < Tree.dfs_end tree c then next := c
+      done;
       assert (!next >= 0);
-      go !next (v :: acc)
+      go !next acc
     end
   in
-  go (Tree.root tree) []
+  go (Tree.root_index tree) []
 
 let search ?trace t ident =
   let tree = t.tree in
@@ -65,21 +66,24 @@ let search ?trace t ident =
   let m = Tree.size tree in
   let q = slot_of ident m in
   let down = descend tree q in
-  let dir_node = List.nth down (List.length down - 1) in
+  let dir_node = Tree.graph_node tree (Tree.at_dfs_position tree q) in
   (match trace with
   | None -> ()
   | Some f -> f (Cr_obs.Trace.Tree_step { round = 1; from_node = root; to_node = dir_node }));
   let walk_rev = List.rev down in
-  match Hashtbl.find_opt t.dir.(q) ident with
-  | Some v ->
-      (match trace with
-      | None -> ()
-      | Some f -> f (Cr_obs.Trace.Tree_step { round = 2; from_node = dir_node; to_node = v }));
-      let walk_rev = append_path tree walk_rev dir_node v in
-      { walk = List.rev walk_rev; outcome = Found v }
-  | None ->
-      let walk_rev = append_path tree walk_rev dir_node root in
-      { walk = List.rev walk_rev; outcome = Not_found_reported }
+  let hit = Tree_directory.find t.dir q ident in
+  if hit >= 0 then begin
+    let v = Tree.graph_node tree hit in
+    (match trace with
+    | None -> ()
+    | Some f -> f (Cr_obs.Trace.Tree_step { round = 2; from_node = dir_node; to_node = v }));
+    let walk_rev = append_path tree walk_rev dir_node v in
+    { walk = List.rev walk_rev; outcome = Found v }
+  end
+  else begin
+    let walk_rev = append_path tree walk_rev dir_node root in
+    { walk = List.rev walk_rev; outcome = Not_found_reported }
+  end
 
 let cost_bound t =
   let k = Bits.bits_for (max 2 (Tree.size t.tree)) in
@@ -87,18 +91,16 @@ let cost_bound t =
 
 let node_storage_bits t v =
   let tree = t.tree in
+  let i = Tree.tree_index tree v in
   let n = Graph.n (Tree.graph tree) in
-  let idb = Bits.id_bits ~n in
-  let ident_bits = 2 * idb in
-  let own = Tree_labels.node_storage_bits t.labels v in
-  let m = Tree.size tree in
-  let interval_bits = 2 * Bits.bits_for (max 2 m) in
-  let child_bits = Array.length (Tree.children tree v) * interval_bits in
-  let q = Tree.dfs_index tree v in
+  let ident_bits = 2 * Bits.id_bits ~n in
+  let own = Tree_labels.node_storage_bits_at t.labels i in
+  let interval_bits = 2 * Bits.bits_for (max 2 (Tree.size tree)) in
+  let child_bits = Tree.child_count tree i * interval_bits in
   let dir_bits =
-    Hashtbl.fold
-      (fun _id u acc -> acc + ident_bits + Tree_labels.label_bits (Tree_labels.label t.labels u))
-      t.dir.(q) 0
+    Tree_directory.fold t.dir (Tree.dfs_position tree i)
+      (fun u acc -> acc + ident_bits + Tree_labels.label_bits_at t.labels u)
+      0
   in
   own + child_bits + dir_bits
 

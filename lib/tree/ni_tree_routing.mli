@@ -77,6 +77,9 @@ val node_storage_bits : t -> int -> int
 (** Bits stored at one tree node: hash function, own routing info, trie
     child labels, directory entries. *)
 
+val node_storage_bits_at : t -> int -> int
+(** {!node_storage_bits} by tree index (summed at build). *)
+
 val total_storage_bits : t -> int
 
 val max_prefix_load : t -> int

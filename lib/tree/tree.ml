@@ -1,108 +1,136 @@
 module Graph = Cr_graph.Graph
 module Dijkstra = Cr_graph.Dijkstra
 
+(* Everything is addressed by tree index: [nodes] ascends by graph id,
+   so a graph id's index is a binary search away, and every per-node
+   field is a flat array over indexes. *)
 type t = {
   graph : Graph.t;
-  root : int;
-  nodes : int array; (* tree index -> graph id *)
-  idx : (int, int) Hashtbl.t; (* graph id -> tree index *)
-  parent : int array; (* tree index -> graph id of parent, -1 for root *)
-  children : int array array; (* tree index -> graph ids, ascending *)
+  root : int; (* graph id *)
+  nodes : int array; (* tree index -> graph id, ascending *)
+  parent : int array; (* tree index -> parent's tree index, -1 for the root *)
+  child_start : int array; (* i's children are children.(child_start.(i) .. child_start.(i+1)-1) *)
+  children : int array; (* child tree indexes, ascending per parent *)
   depth_w : float array;
-  depth_h : int array;
   member : bool array;
-  mutable dfs : int array option; (* graph ids in preorder *)
-  mutable dfs_idx : (int, int) Hashtbl.t option;
-  mutable subtree_hi : int array option; (* by dfs position: end of interval *)
+  dfs : int array; (* DFS position -> tree index *)
+  dfs_pos : int array; (* tree index -> DFS position *)
+  dfs_end : int array; (* tree index -> end of its subtree's DFS interval *)
 }
+
+(* Index of v in the ascending [nodes], or -1. *)
+let index_in nodes v =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else begin
+      let mid = (lo + hi) lsr 1 in
+      let x = nodes.(mid) in
+      if x = v then mid else if x < v then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 (Array.length nodes)
+
+let find t v = index_in t.nodes v
 
 let of_sssp g (res : Dijkstra.result) ~keep =
   let n = Graph.n g in
-  let in_tree = Array.make n false in
-  let member = Array.make n false in
+  let source = res.Dijkstra.source in
+  (* mark.[v]: '\000' outside the tree, '\001' relay, '\002' member *)
+  let mark = Bytes.make n '\000' in
   let any = ref false in
   (* Mark kept nodes and pull in ancestors as relays. *)
   for v = 0 to n - 1 do
     if res.Dijkstra.dist.(v) < infinity && keep v then begin
       any := true;
-      member.(v) <- true;
       let rec up x =
-        if not in_tree.(x) then begin
-          in_tree.(x) <- true;
-          if x <> res.Dijkstra.source then up res.Dijkstra.parent.(x)
+        if Bytes.get mark x = '\000' then begin
+          Bytes.set mark x '\001';
+          if x <> source then up res.Dijkstra.parent.(x)
         end
       in
-      up v
+      up v;
+      Bytes.set mark v '\002'
     end
   done;
   if not !any then invalid_arg "Tree.of_sssp: no kept node reachable";
-  in_tree.(res.Dijkstra.source) <- true;
-  let nodes =
-    let acc = ref [] in
-    for v = n - 1 downto 0 do
-      if in_tree.(v) then acc := v :: !acc
-    done;
-    Array.of_list !acc
-  in
-  let m = Array.length nodes in
-  let idx = Hashtbl.create (2 * m) in
-  Array.iteri (fun i v -> Hashtbl.replace idx v i) nodes;
-  let parent = Array.make m (-1) in
-  let child_lists = Array.make m [] in
-  Array.iteri
-    (fun i v ->
-      if v <> res.Dijkstra.source then begin
-        let p = res.Dijkstra.parent.(v) in
-        parent.(i) <- p;
-        let pi = Hashtbl.find idx p in
-        child_lists.(pi) <- v :: child_lists.(pi)
-      end)
-    nodes;
-  let children = Array.map (fun l -> Array.of_list (List.sort Int.compare l)) child_lists in
-  let depth_w = Array.make m 0.0 in
-  let depth_h = Array.make m 0 in
-  (* nodes ascending by graph id is not topological; compute depths by
-     walking up with memoization. *)
-  let computed = Array.make m false in
-  let rec fill i =
-    if not computed.(i) then begin
-      let v = nodes.(i) in
-      if parent.(i) = -1 then begin
-        depth_w.(i) <- 0.0;
-        depth_h.(i) <- 0
-      end
-      else begin
-        let pi = Hashtbl.find idx parent.(i) in
-        fill pi;
-        let w =
-          match Graph.edge_weight g parent.(i) v with
-          | Some w -> w
-          | None -> invalid_arg "Tree.of_sssp: tree edge not in graph"
-        in
-        depth_w.(i) <- depth_w.(pi) +. w;
-        depth_h.(i) <- depth_h.(pi) + 1
-      end;
-      computed.(i) <- true
-    end
-  in
-  for i = 0 to m - 1 do
-    fill i
+  (* the root is always a member *)
+  Bytes.set mark source '\002';
+  let m = ref 0 in
+  for v = 0 to n - 1 do
+    if Bytes.get mark v <> '\000' then incr m
   done;
-  let member_arr = Array.map (fun v -> member.(v) || v = res.Dijkstra.source) nodes in
-  {
-    graph = g;
-    root = res.Dijkstra.source;
-    nodes;
-    idx;
-    parent;
-    children;
-    depth_w;
-    depth_h;
-    member = member_arr;
-    dfs = None;
-    dfs_idx = None;
-    subtree_hi = None;
-  }
+  let m = !m in
+  let nodes = Array.make m 0 and member = Array.make m false in
+  let i = ref 0 in
+  for v = 0 to n - 1 do
+    let c = Bytes.get mark v in
+    if c <> '\000' then begin
+      nodes.(!i) <- v;
+      member.(!i) <- c = '\002';
+      incr i
+    end
+  done;
+  let parent = Array.make m (-1) in
+  (* children as CSR: count, prefix-sum, then fill in index order, which
+     is graph-id order *)
+  let child_start = Array.make (m + 1) 0 in
+  for i = 0 to m - 1 do
+    let v = nodes.(i) in
+    if v <> source then begin
+      let p = index_in nodes res.Dijkstra.parent.(v) in
+      parent.(i) <- p;
+      child_start.(p + 1) <- child_start.(p + 1) + 1
+    end
+  done;
+  for i = 1 to m do
+    child_start.(i) <- child_start.(i) + child_start.(i - 1)
+  done;
+  let children = Array.make (max 0 (m - 1)) 0 in
+  (* fill advances child_start.(p) to p's end, i.e. the old
+     child_start.(p+1); shifting right by one restores the starts *)
+  for i = 0 to m - 1 do
+    let p = parent.(i) in
+    if p >= 0 then begin
+      children.(child_start.(p)) <- i;
+      child_start.(p) <- child_start.(p) + 1
+    end
+  done;
+  for i = m downto 1 do
+    child_start.(i) <- child_start.(i - 1)
+  done;
+  child_start.(0) <- 0;
+  (* Preorder DFS on an int stack (no recursion: path graphs are deep),
+     children in ascending order.  The stack borrows [dfs_end]'s
+     storage, which is only written once the order is known. *)
+  let root_i = index_in nodes source in
+  let dfs = Array.make m 0 and dfs_pos = Array.make m 0 in
+  let dfs_end = Array.make m 0 in
+  let stack = dfs_end in
+  stack.(0) <- root_i;
+  let sp = ref 1 and pos = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let i = stack.(!sp) in
+    dfs.(!pos) <- i;
+    dfs_pos.(i) <- !pos;
+    incr pos;
+    for c = child_start.(i + 1) - 1 downto child_start.(i) do
+      stack.(!sp) <- children.(c);
+      incr sp
+    done
+  done;
+  (* subtree ends, leaves first: a subtree's interval closes where its
+     last child's does *)
+  for p = m - 1 downto 0 do
+    let i = dfs.(p) in
+    let last = child_start.(i + 1) - 1 in
+    dfs_end.(i) <- (if last < child_start.(i) then p + 1 else dfs_end.(children.(last)))
+  done;
+  (* The weighted depth is the SSSP distance: both are the same float
+     sum along the same parent chain, accumulated from the root. *)
+  let depth_w = Array.map (fun v -> res.Dijkstra.dist.(v)) nodes in
+  { graph = g; root = source; nodes; parent; child_start; children; depth_w; member; dfs;
+    dfs_pos; dfs_end }
 
 let spanning g root = of_sssp g (Dijkstra.run g root) ~keep:(fun _ -> true)
 
@@ -114,23 +142,35 @@ let size t = Array.length t.nodes
 
 let nodes t = t.nodes
 
-let mem t v = Hashtbl.mem t.idx v
+let mem t v = find t v >= 0
 
 let tree_index t v =
-  match Hashtbl.find_opt t.idx v with Some i -> i | None -> raise Not_found
+  let i = find t v in
+  if i < 0 then raise Not_found else i
 
 let is_member t v =
-  match Hashtbl.find_opt t.idx v with Some i -> t.member.(i) | None -> false
+  let i = find t v in
+  i >= 0 && t.member.(i)
 
 let graph_node t i = t.nodes.(i)
 
-let parent t v = t.parent.(tree_index t v)
+let parent t v =
+  let p = t.parent.(tree_index t v) in
+  if p < 0 then -1 else t.nodes.(p)
 
-let children t v = t.children.(tree_index t v)
+let child_count t i = t.child_start.(i + 1) - t.child_start.(i)
+
+let child t i j = t.children.(t.child_start.(i) + j)
+
+let children t v =
+  let i = tree_index t v in
+  Array.init (child_count t i) (fun j -> t.nodes.(child t i j))
 
 let depth t v = t.depth_w.(tree_index t v)
 
-let hop_depth t v = t.depth_h.(tree_index t v)
+let hop_depth t v =
+  let rec up i h = if t.parent.(i) < 0 then h else up t.parent.(i) (h + 1) in
+  up (tree_index t v) 0
 
 let radius t = Array.fold_left max 0.0 t.depth_w
 
@@ -139,92 +179,46 @@ let max_edge t =
   Array.iteri
     (fun i p ->
       if p >= 0 then begin
-        match Graph.edge_weight t.graph p t.nodes.(i) with
+        match Graph.edge_weight t.graph t.nodes.(p) t.nodes.(i) with
         | Some w -> if w > !best then best := w
         | None -> assert false
       end)
     t.parent;
   !best
 
-let lca t a b =
-  let ia = ref (tree_index t a) and ib = ref (tree_index t b) in
-  while t.depth_h.(!ia) > t.depth_h.(!ib) do
-    ia := tree_index t t.parent.(!ia)
+(* a is an ancestor of b (or b itself) iff b's DFS position lies in a's
+   subtree interval *)
+let lca_index t ia ib =
+  let pb = t.dfs_pos.(ib) in
+  let a = ref ia in
+  while not (t.dfs_pos.(!a) <= pb && pb < t.dfs_end.(!a)) do
+    a := t.parent.(!a)
   done;
-  while t.depth_h.(!ib) > t.depth_h.(!ia) do
-    ib := tree_index t t.parent.(!ib)
-  done;
-  while !ia <> !ib do
-    ia := tree_index t t.parent.(!ia);
-    ib := tree_index t t.parent.(!ib)
-  done;
-  t.nodes.(!ia)
+  !a
+
+let lca t a b = t.nodes.(lca_index t (tree_index t a) (tree_index t b))
 
 let path t a b =
-  let l = lca t a b in
-  let rec up x acc = if x = l then x :: acc else up t.parent.(tree_index t x) (x :: acc) in
-  let up_a = List.rev (up a []) (* a ... l *) in
-  let down_b = up b [] (* l ... b *) in
-  match down_b with
-  | _l :: rest -> up_a @ rest
-  | [] -> assert false
+  let ia = tree_index t a and ib = tree_index t b in
+  let l = lca_index t ia ib in
+  (* [l ... b], and the a-side below l collected l-first, then
+     reversed onto it *)
+  let rec down i acc = if i = l then t.nodes.(i) :: acc else down t.parent.(i) (t.nodes.(i) :: acc) in
+  let rec up i acc = if i = l then acc else up t.parent.(i) (t.nodes.(i) :: acc) in
+  List.rev_append (up ia []) (down ib [])
 
 let path_length t a b =
-  let l = lca t a b in
-  depth t a +. depth t b -. (2.0 *. depth t l)
+  let ia = tree_index t a and ib = tree_index t b in
+  let l = lca_index t ia ib in
+  t.depth_w.(ia) +. t.depth_w.(ib) -. (2.0 *. t.depth_w.(l))
 
-let ensure_dfs t =
-  match t.dfs with
-  | Some _ -> ()
-  | None ->
-      let m = size t in
-      let order = Array.make m (-1) in
-      let hi = Array.make m (-1) in
-      let pos = ref 0 in
-      (* explicit stack to avoid deep recursion on path graphs *)
-      let stack = Stack.create () in
-      (* frames: (graph node, post) where post=true means finish *)
-      Stack.push (t.root, false) stack;
-      let my_pos = Hashtbl.create m in
-      while not (Stack.is_empty stack) do
-        let v, post = Stack.pop stack in
-        if post then begin
-          let p = Hashtbl.find my_pos v in
-          hi.(p) <- !pos
-        end
-        else begin
-          let p = !pos in
-          incr pos;
-          order.(p) <- v;
-          Hashtbl.replace my_pos v p;
-          Stack.push (v, true) stack;
-          let ch = t.children.(tree_index t v) in
-          for i = Array.length ch - 1 downto 0 do
-            Stack.push (ch.(i), false) stack
-          done
-        end
-      done;
-      let idx_tbl = Hashtbl.create m in
-      Array.iteri (fun i v -> Hashtbl.replace idx_tbl v i) order;
-      t.dfs <- Some order;
-      t.dfs_idx <- Some idx_tbl;
-      t.subtree_hi <- Some hi
+let dfs_order t = Array.map (fun i -> t.nodes.(i)) t.dfs
 
-let dfs_order t =
-  ensure_dfs t;
-  Option.get t.dfs
-
-let dfs_index t v =
-  ensure_dfs t;
-  match Hashtbl.find_opt (Option.get t.dfs_idx) v with
-  | Some i -> i
-  | None -> raise Not_found
+let dfs_index t v = t.dfs_pos.(tree_index t v)
 
 let subtree_interval t v =
-  ensure_dfs t;
-  let lo = dfs_index t v in
-  let hi = (Option.get t.subtree_hi).(lo) in
-  (lo, hi)
+  let i = tree_index t v in
+  (t.dfs_pos.(i), t.dfs_end.(i))
 
 let members t =
   let acc = ref [] in
@@ -233,14 +227,27 @@ let members t =
   done;
   Array.of_list !acc
 
-let by_root_distance t =
-  (* sort tree indexes, not ids: [nodes] ascends by graph id, so the
-     index tie-break is the id tie-break, and no comparison needs a
-     Hashtbl lookup or allocates a key *)
+let root_distance_order t =
+  (* [nodes] ascends by graph id, so the index tie-break is the id
+     tie-break *)
+  let d = t.depth_w in
   let order = Array.init (Array.length t.nodes) Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Float.compare t.depth_w.(i) t.depth_w.(j) in
-      if c <> 0 then c else Int.compare i j)
+  (* depths are finite, so [<] and [>] order them as [Float.compare] *)
+  Array.stable_sort
+    (fun i j -> if d.(i) < d.(j) then -1 else if d.(i) > d.(j) then 1 else i - j)
     order;
-  Array.map (fun i -> t.nodes.(i)) order
+  order
+
+let by_root_distance t = Array.map (fun i -> t.nodes.(i)) (root_distance_order t)
+
+let root_index t = t.dfs.(0)
+
+let parent_index t i = t.parent.(i)
+
+let member_at t i = t.member.(i)
+
+let dfs_position t i = t.dfs_pos.(i)
+
+let dfs_end t i = t.dfs_end.(i)
+
+let at_dfs_position t p = t.dfs.(p)

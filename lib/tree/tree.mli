@@ -12,7 +12,8 @@ type t
 val of_sssp : Cr_graph.Graph.t -> Cr_graph.Dijkstra.result -> keep:(int -> bool) -> t
 (** [of_sssp g res ~keep] extracts the subtree of the shortest-path tree
     [res] spanning the root and every reachable node with [keep v = true];
-    nodes on the connecting paths are added as relays.
+    nodes on the connecting paths are added as relays.  Weighted depths
+    are read from [res.dist], so [res] must be a Dijkstra run on [g].
     @raise Invalid_argument if no kept node is reachable. *)
 
 val spanning : Cr_graph.Graph.t -> int -> t
@@ -71,7 +72,7 @@ val path_length : t -> int -> int -> float
 
 val dfs_order : t -> int array
 (** Graph ids in preorder DFS (children visited in ascending id order);
-    the root is first.  Cached after first call. *)
+    the root is first. *)
 
 val dfs_index : t -> int -> int
 (** Position of a graph node in {!dfs_order}.
@@ -87,3 +88,40 @@ val members : t -> int array
 val by_root_distance : t -> int array
 (** All tree nodes (graph ids) sorted by (weighted depth, graph id) —
     the [a_0, a_1, …] enumeration used by Lemma 4. *)
+
+(** {2 Tree-index access}
+
+    The same tree addressed by tree index (the position in {!nodes}):
+    array reads, no lookups.  The tree routing layers ({!Tree_labels},
+    Lemma 4 and Lemma 7 directories) work on these. *)
+
+val find : t -> int -> int
+(** Tree index of a graph node, or [-1] if absent (binary search over
+    {!nodes}, which ascends by graph id). *)
+
+val root_index : t -> int
+
+val parent_index : t -> int -> int
+(** Parent's tree index; [-1] for the root. *)
+
+val child_count : t -> int -> int
+
+val child : t -> int -> int -> int
+(** [child t i j] is the tree index of [i]'s [j]-th child, children
+    ascending (which is ascending graph id). *)
+
+val member_at : t -> int -> bool
+(** Whether the tree index is a (non-relay) member. *)
+
+val dfs_position : t -> int -> int
+(** Position of a tree index in preorder DFS ({!dfs_index} by index). *)
+
+val dfs_end : t -> int -> int
+(** End of the tree index's subtree interval: its subtree occupies DFS
+    positions [dfs_position .. dfs_end - 1]. *)
+
+val at_dfs_position : t -> int -> int
+(** Tree index at a DFS position. *)
+
+val root_distance_order : t -> int array
+(** {!by_root_distance} as tree indexes. *)

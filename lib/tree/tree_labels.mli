@@ -40,6 +40,12 @@ val node_storage_bits : t -> int -> int
 (** Bits a node needs to play its part: its own label, its parent port
     and per-child heavy flags/ports. *)
 
+val label_bits_at : t -> int -> int
+(** {!label_bits} of the label at a tree index (cached at build). *)
+
+val node_storage_bits_at : t -> int -> int
+(** {!node_storage_bits} by tree index (cached at build). *)
+
 val equal_label : label -> label -> bool
 
 val pp_label : Format.formatter -> label -> unit

@@ -686,6 +686,124 @@ let width_invariance_graph family seed =
   | _ -> Experiment.make_graph ~seed (Experiment.Power_law { n = 96; exponent = 2.5 })
 
 (* ------------------------------------------------------------------ *)
+(* Golden digests: AGM06 tables, storage and walks, and the two tree
+   searches, pinned bit for bit.  The constants are fixed: a change to
+   the tree layer that alters any table, bit count or walk fails here. *)
+
+module Tree = Cr_tree.Tree
+module Ni = Cr_tree.Ni_tree_routing
+module Dense = Cr_tree.Dense_tree_routing
+
+let golden_graphs () =
+  [
+    ("er:256", Experiment.make_graph ~seed:1 (Experiment.Erdos_renyi { n = 256; avg_degree = 4.0 }));
+    ( "geo:256 aspect 4096",
+      Experiment.make_graph_with_aspect ~seed:1 ~target_aspect:4096.0
+        (Experiment.Geometric { n = 256; radius = 0.15 }) );
+    ("pl:256", Experiment.make_graph ~seed:1 (Experiment.Power_law { n = 256; exponent = 2.5 }));
+  ]
+
+let add_ints buf l =
+  List.iter
+    (fun x ->
+      Buffer.add_string buf (string_of_int x);
+      Buffer.add_char buf ',')
+    l;
+  Buffer.add_char buf '\n'
+
+let agm06_digest g =
+  let apsp = Apsp.compute g in
+  let agm = Agm06.build ~params:(Params.scaled ~k:3 ~seed:7 ()) apsp in
+  let sch = Agm06.scheme agm in
+  let n = Graph.n g in
+  let buf = Buffer.create (1 lsl 16) in
+  for u = 0 to n - 1 do
+    Buffer.add_string buf (Agm06.describe_node agm u)
+  done;
+  List.iter
+    (fun (cat, bits) -> Buffer.add_string buf (Printf.sprintf "%s=%d\n" cat bits))
+    (Storage.categories sch.Scheme.storage);
+  let rng = Rng.create 2024 in
+  for _ = 1 to 2000 do
+    let s = Rng.int rng n and d = Rng.int rng n in
+    let r = sch.Scheme.route s d in
+    add_ints buf (Bool.to_int r.Scheme.delivered :: r.Scheme.phases_used :: r.Scheme.walk)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Random Lemma 4 and Lemma 7 trees: a random root and a random kept
+   subset (relays fill the connecting paths); every identifier of the
+   graph plus a few absent ones is searched at every bound. *)
+let tree_search_digest g =
+  let n = Graph.n g in
+  let k = 3 in
+  let rng = Rng.create 77 in
+  let absent = List.init 8 (fun i -> 1_000_000_007 + i) in
+  let idents = List.init n (Graph.name_of g) @ absent in
+  let buf = Buffer.create (1 lsl 16) in
+  for t = 1 to 12 do
+    let root = Rng.int rng n in
+    let p = Rng.float rng 1.0 in
+    let kept = Array.init n (fun _ -> Rng.bernoulli rng p) in
+    let res = Cr_graph.Dijkstra.run g root in
+    match Tree.of_sssp g res ~keep:(fun v -> kept.(v)) with
+    | exception Invalid_argument _ -> Buffer.add_string buf "none\n"
+    | tree ->
+        add_ints buf (Array.to_list (Tree.nodes tree));
+        let ni = Ni.build ~seed:(t + 1) ~k ~n_global:n tree in
+        let dense = Dense.build tree in
+        List.iter
+          (fun id ->
+            for bound = 1 to k do
+              let r = Ni.search ni ~bound id in
+              let found = match r.Ni.outcome with Ni.Found v -> v | Ni.Not_found_reported -> -1 in
+              add_ints buf (found :: r.Ni.rounds :: r.Ni.walk)
+            done;
+            let r = Dense.search dense id in
+            let found =
+              match r.Dense.outcome with Dense.Found v -> v | Dense.Not_found_reported -> -1
+            in
+            add_ints buf (found :: r.Dense.walk))
+          idents;
+        add_ints buf
+          (List.concat_map
+             (fun v -> [ Ni.node_storage_bits ni v; Dense.node_storage_bits dense v ])
+             (Array.to_list (Tree.nodes tree)));
+        add_ints buf
+          [ Ni.sigma ni; Ni.directory_capacity ni; Ni.max_prefix_load ni;
+            Ni.total_storage_bits ni; Dense.total_storage_bits dense ]
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let golden_agm06 =
+  [
+    ("er:256", "c8e2e9a3820c816118b1be8ca1dcd69d");
+    ("geo:256 aspect 4096", "c407227cfaa29adb6d5504a4baf6a18a");
+    ("pl:256", "bec8cd6f8e7a8069c95f69f8ed18299f");
+  ]
+
+let golden_trees =
+  [
+    ("er:256", "12f2943833d797a01a7045cd621dc224");
+    ("geo:256 aspect 4096", "e7852c428db2550c4fd88c5d938375cc");
+    ("pl:256", "c01cff121b75e9caebbc05adb863eacd");
+  ]
+
+let test_golden_agm06 () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check string) ("agm06 " ^ name) (List.assoc name golden_agm06) (agm06_digest g))
+    (golden_graphs ())
+
+let test_golden_tree_searches () =
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check string)
+        ("tree searches " ^ name)
+        (List.assoc name golden_trees) (tree_search_digest g))
+    (golden_graphs ())
+
+(* ------------------------------------------------------------------ *)
 (* qcheck properties *)
 
 let qcheck_tests =
@@ -820,6 +938,11 @@ let () =
           Alcotest.test_case "describe node" `Quick test_agm06_describe_node;
           Alcotest.test_case "lemma 8 dense coverage" `Quick test_agm06_lemma8_dense_coverage;
           Alcotest.test_case "cost >= distance" `Quick test_agm06_cost_never_below_distance;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "agm06 tables, storage and walks" `Quick test_golden_agm06;
+          Alcotest.test_case "tree searches" `Quick test_golden_tree_searches;
         ] );
       ( "distance_oracle",
         [

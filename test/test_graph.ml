@@ -143,7 +143,13 @@ let test_heap_order () =
   checki "third" 3 x3;
   let x4, _ = Heap.pop_min h in
   checki "fourth" 7 x4;
-  checkb "empty" true (Heap.is_empty h)
+  checkb "empty" true (Heap.is_empty h);
+  (* the tuple-free pop follows the same order, ties by element *)
+  List.iter (fun (x, p) -> Heap.insert h x p) [ (3, 5.0); (1, 2.0); (7, 8.0); (4, 2.0) ];
+  let popped = List.init 4 (fun _ -> Heap.pop_min_elt h) in
+  Alcotest.(check (list int)) "pop_min_elt order" [ 1; 4; 3; 7 ] popped;
+  checkb "pop_min_elt empty" true
+    (try ignore (Heap.pop_min_elt h); false with Not_found -> true)
 
 let test_heap_decrease () =
   let h = Heap.create 5 in

@@ -314,6 +314,33 @@ let test_oversized_line () =
       checki "connection ended disconnected" 1 st.Server.disconnected;
       checkb "counters reconcile" true (reconciles st))
 
+(* The cap is checked by config validation alone: no connections are
+   opened. *)
+let test_max_conns_limit () =
+  in_temp_dir (fun dir ->
+      let d = Daemon.create ~policy:Guard.Policy.off ~staleness_every:0 ~params (mk_graph 11) in
+      Fun.protect
+        ~finally:(fun () -> Daemon.close d)
+        (fun () ->
+          let sock = Filename.concat dir "crt.sock" in
+          let with_max max_conns = { Server.default_config with Server.max_conns } in
+          checkb "limit below FD_SETSIZE with headroom" true
+            (Server.max_conns_limit < 1024 && Server.max_conns_limit >= 64);
+          List.iter
+            (fun max_conns ->
+              checkb
+                (Printf.sprintf "max_conns %d rejected" max_conns)
+                true
+                (match Server.create ~config:(with_max max_conns) d (Server.Unix_path sock) with
+                | _ -> false
+                | exception Invalid_argument _ -> true);
+              checkb "rejected before binding" false (Sys.file_exists sock))
+            [ Server.max_conns_limit + 1; 1024; 0 ];
+          let srv = Server.create ~config:(with_max Server.max_conns_limit) d (Server.Unix_path sock) in
+          Server.stop srv;
+          Server.run srv;
+          checkb "limit itself accepted and drained" true (Server.stats srv).Server.drained))
+
 let test_err_busy_shedding () =
   in_temp_dir (fun dir ->
       let config = { Server.default_config with Server.max_conns = 1 } in
@@ -623,6 +650,7 @@ let () =
             test_half_line_then_disconnect;
           Alcotest.test_case "oversized line gets a structured refusal" `Quick
             test_oversized_line;
+          Alcotest.test_case "max-conns capped below FD_SETSIZE" `Quick test_max_conns_limit;
           Alcotest.test_case "admission cap sheds with err busy" `Quick
             test_err_busy_shedding;
           Alcotest.test_case "idle connections are evicted" `Quick test_idle_timeout;

@@ -437,6 +437,24 @@ let test_dense_absent_roundtrip () =
   let cost = walk_cost g r.Dense.walk in
   checkb "failure cost bounded" true (cost <= Dense.cost_bound d +. 1e-6)
 
+(* Graph files may repeat an identifier.  A directory then keeps the
+   later tree node (higher index), as a [Hashtbl.replace] table did, and
+   stores the identifier once: the tree holding both bearers costs what
+   the same tree costs with the first one a relay. *)
+let test_dense_repeated_identifier () =
+  let g =
+    Graph.create ~names:[| 5; 7; 5; 9 |] ~n:4 [ (3, 0, 1.0); (0, 1, 1.0); (1, 2, 1.0) ]
+  in
+  let res = Dijkstra.run g 3 in
+  let both = Dense.build (Tree.of_sssp g res ~keep:(fun _ -> true)) in
+  let later_only = Dense.build (Tree.of_sssp g res ~keep:(fun v -> v <> 0)) in
+  (match (Dense.search both 5).Dense.outcome with
+  | Dense.Found u -> checki "later node wins" 2 u
+  | Dense.Not_found_reported -> Alcotest.fail "repeated identifier not found");
+  checki "one directory entry"
+    (Dense.total_storage_bits later_only)
+    (Dense.total_storage_bits both)
+
 let test_dense_relays_not_searchable () =
   let g = small_graph () in
   (* keep only node 3: nodes 1,2 are relays *)
@@ -601,6 +619,7 @@ let () =
           Alcotest.test_case "cost bound" `Quick test_dense_cost_bound;
           Alcotest.test_case "absent roundtrip" `Quick test_dense_absent_roundtrip;
           Alcotest.test_case "relays not searchable" `Quick test_dense_relays_not_searchable;
+          Alcotest.test_case "repeated identifier" `Quick test_dense_repeated_identifier;
           Alcotest.test_case "storage positive" `Quick test_dense_storage_positive;
         ] );
       ("properties", qsuite);
